@@ -7,8 +7,7 @@
 #pragma once
 
 #include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -16,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +26,26 @@ using Clock = std::chrono::steady_clock;
 inline double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
+
+inline double clock_ms(clockid_t clock) {
+  timespec ts{};
+  ::clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+/// CPU time of this process so far (every thread, user + system), in ms.
+///
+/// The end-to-end metrics are CPU times, not wall times. On the reference
+/// host (4 vCPUs of a shared machine) the hypervisor took back about 5% of
+/// a busy vCPU's time while one thread ran and 30-55% while two to four
+/// did, in spells of minutes: wall-clock step times of the multi-threaded
+/// and multi-process workloads doubled and halved between runs of the
+/// same code. Time the hypervisor takes (steal) and time a thread spends
+/// blocked are not CPU time, so these figures follow the work the program
+/// does, system calls and page faults included; the wall-clock figures are
+/// printed on stderr beside them.
+inline double cpu_ms() { return clock_ms(CLOCK_PROCESS_CPUTIME_ID); }
 
 /// splitmix64: the benchmark's own input generator. Workload inputs must not
 /// depend on the library's RNG, so that a change there cannot change what
@@ -102,9 +120,9 @@ inline Tail tail_of(const std::vector<double>& v, double target) {
 /// End-to-end step statistics of one run. The timed steps are split into
 /// kChunks consecutive chunks of equal step count, and each statistic is
 /// the median over the chunks of that chunk's value. On the reference host
-/// CPU speed drifts by 15-30% over seconds to minutes; a slow spell that
-/// covers fewer than half of the chunks then moves none of the figures,
-/// while the plain whole-run median, mean and tail percentile followed it.
+/// speed drifts over seconds to minutes; a slow spell that covers fewer
+/// than half of the chunks then moves none of the figures, while the plain
+/// whole-run median, mean and tail percentile followed it.
 struct StepSummary {
   static constexpr std::size_t kChunks = 5;
   double ops_per_s = 0;
@@ -115,7 +133,7 @@ struct StepSummary {
   std::size_t beyond_per_chunk = 0;
 };
 
-/// `step_ms[i]` is the wall time of step i; `end_ms[i]` the time from the
+/// `step_ms[i]` is the time of step i; `end_ms[i]` the time from the
 /// start of the timed phase to the end of step i, the benchmark's own work
 /// (input generation, invariant checks) included. The tail percentile is
 /// `tail_target`, or a lower rung of the ladder if a chunk would have
@@ -150,8 +168,9 @@ inline StepSummary summarize_steps(const std::vector<double>& step_ms,
 }
 
 /// Prints the step-time percentiles a reader needs to judge the tail.
-inline void print_percentiles(const std::vector<double>& v) {
-  std::fprintf(stderr, "step percentiles (ms) over %zu steps:", v.size());
+inline void print_percentiles(const char* clock, const std::vector<double>& v) {
+  std::fprintf(stderr, "%s step percentiles (ms) over %zu steps:", clock,
+               v.size());
   for (const double p : {50.0, 90.0, 95.0, 98.0, 99.0, 99.5, 99.9}) {
     std::fprintf(stderr, " p%g=%.4f", p, quantile(v, p / 100.0));
   }
@@ -165,68 +184,152 @@ inline double self_peak_rss_mb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-/// Runs `measure` in a forked child and returns its value, or a negative
-/// value if the child failed. A child starts from a fresh heap, and what it
-/// allocates never counts toward this process's peak resident set.
-inline double in_child(const std::function<double()>& measure) {
-  int fds[2];
-  if (::pipe(fds) != 0) return -1;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return -1;
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    double value = -1;
-    try {
-      value = measure();
-    } catch (...) {
-    }
-    const ssize_t wrote = ::write(fds[1], &value, sizeof value);
-    ::_exit(wrote == static_cast<ssize_t>(sizeof value) ? 0 : 1);
-  }
-  ::close(fds[1]);
-  double value = -1;
-  const ssize_t got = ::read(fds[0], &value, sizeof value);
-  ::close(fds[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (got != static_cast<ssize_t>(sizeof value) || !WIFEXITED(status) ||
-      WEXITSTATUS(status) != 0) {
-    return -1;
-  }
-  return value;
-}
+/// Benchmark-owned host-speed probe: two fixed kernels on the calling
+/// thread, each about half a millisecond of CPU time. The core kernel is
+/// dependent integer arithmetic plus a dependent chase through a 128 KB
+/// table (clock frequency, L1/L2 latency); the cache kernel is a dependent
+/// chase through a 1 MB table, half the L2 of the reference host, which
+/// slows when something else on the same physical core claims the cache.
+/// Neither calls library code, so they do the same work on every run and
+/// every commit, and their time moves only with the host.
+///
+/// On the reference host the CPU time of the same single-threaded work
+/// swung by up to 60% from one few-second spell to the next (attack_seq
+/// steps took 1.2 ms, then 1.9 ms, then 1.3 ms), and the cache kernel
+/// swung with it. The workloads sample the probe every kEvery of timed
+/// work and at set-up, noting how many timed steps were done, and scale
+/// each step's time by kReferenceMs / (median of the window samples taken
+/// nearest to it): times are reported at the reference speed, so a spell
+/// that slows the probe and the program alike cancels. Probe time is
+/// excluded from every timed interval. A workload whose steps run on other
+/// cores than the probe uses kNoScaling: the probe then only reports.
+class HostProbe {
+ public:
+  static constexpr auto kEvery = std::chrono::milliseconds(100);
+  /// Scaling window, in samples, for a workload whose driving thread does
+  /// the work; kNoScaling for one whose work runs elsewhere.
+  static constexpr std::size_t kWindow = 5;
+  static constexpr std::size_t kNoScaling = 0;
+  /// The probe's median on the reference host in a steady spell.
+  static constexpr double kReferenceMs = 1.0;
 
-/// Fixed memory-bound kernel (a dependent pointer chase over 16 MB), the
-/// median of five passes, run in a child process. It does the same work on
-/// every run and every commit, so its time tells a slow host spell from a
-/// slow change.
-inline double calibration_ms() {
-  return in_child([] {
-  constexpr std::size_t kSlots = std::size_t{1} << 22;  // 16 MB of u32
-  constexpr std::size_t kHops = std::size_t{1} << 18;
-  std::vector<std::uint32_t> next(kSlots);
-  // Sattolo's shuffle: one cycle through every slot.
-  for (std::size_t i = 0; i < kSlots; ++i) next[i] = static_cast<std::uint32_t>(i);
-  InputRng rng(0xCA11B);
-  for (std::size_t i = kSlots - 1; i > 0; --i) {
-    std::swap(next[i], next[rng.below(i)]);
+  explicit HostProbe(std::size_t window = kWindow)
+      : window_(window),
+        small_(cycle(kSmallSlots)),
+        large_(cycle(kLargeSlots)) {}
+
+  /// Takes one sample after `step` timed steps and returns the CPU time
+  /// spent on it. Each kernel runs twice and only the second pass is
+  /// timed, so that the tables are back in cache whatever the program
+  /// touched in between.
+  double sample(std::size_t step) {
+    const double t0 = clock_ms(CLOCK_THREAD_CPUTIME_ID);
+    (void)core_pass();
+    const double t1 = clock_ms(CLOCK_THREAD_CPUTIME_ID);
+    (void)core_pass();
+    const double t2 = clock_ms(CLOCK_THREAD_CPUTIME_ID);
+    (void)cache_pass();
+    const double t3 = clock_ms(CLOCK_THREAD_CPUTIME_ID);
+    (void)cache_pass();
+    const double t4 = clock_ms(CLOCK_THREAD_CPUTIME_ID);
+    core_.push_back(t2 - t1);
+    cache_.push_back(t4 - t3);
+    samples_.push_back(core_.back() + cache_.back());
+    steps_.push_back(step);
+    last_ = Clock::now();
+    return t4 - t0;
   }
-  std::vector<double> passes;
-  std::uint32_t at = 0;
-  for (int pass = 0; pass < 5; ++pass) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < kHops; ++i) at = next[at];
-    // Keeps the chase before the second clock read.
-    asm volatile("" : : "r"(at) : "memory");
-    passes.push_back(ms_between(t0, Clock::now()));
+
+  /// Samples `n` times after `step` timed steps; returns the CPU time spent.
+  double sample(std::size_t n, std::size_t step) {
+    double spent = 0;
+    for (std::size_t i = 0; i < n; ++i) spent += sample(step);
+    return spent;
   }
-  return median(passes);
-  });
-}
+
+  /// Samples if kEvery (wall time) has passed since the last sample;
+  /// returns the CPU time spent (0 if it did not sample).
+  double tick(std::size_t step) {
+    return Clock::now() - last_ >= kEvery ? sample(step) : 0.0;
+  }
+
+  [[nodiscard]] double median_ms() const { return median(samples_); }
+  [[nodiscard]] double core_median_ms() const { return median(core_); }
+  [[nodiscard]] double cache_median_ms() const { return median(cache_); }
+  /// Multiplier for a time measured anywhere in the run: the reference
+  /// speed over the median of every sample. Set-up times use it.
+  [[nodiscard]] double scale() const {
+    const double m = median_ms();
+    return window_ != kNoScaling && m > 0 ? kReferenceMs / m : 1.0;
+  }
+  /// Multiplier that turns the time of timed step `step` into the time at
+  /// the reference speed.
+  [[nodiscard]] double scale_at(std::size_t step) const {
+    if (window_ == kNoScaling || samples_.empty()) return 1.0;
+    // The window_ samples nearest to `step`; steps_ is non-decreasing.
+    const std::size_t n = samples_.size();
+    const std::size_t w = std::min(window_, n);
+    std::size_t lo = static_cast<std::size_t>(
+        std::lower_bound(steps_.begin(), steps_.end(), step) - steps_.begin());
+    lo = lo >= w / 2 ? lo - w / 2 : 0;
+    lo = std::min(lo, n - w);
+    const double m = median(std::vector<double>(
+        samples_.begin() + static_cast<long>(lo),
+        samples_.begin() + static_cast<long>(lo + w)));
+    return m > 0 ? kReferenceMs / m : 1.0;
+  }
+  [[nodiscard]] std::size_t samples() const { return samples_.size(); }
+
+ private:
+  static constexpr std::size_t kSmallSlots = std::size_t{1} << 15;  // 128 KB
+  static constexpr std::size_t kLargeSlots = std::size_t{1} << 18;  // 1 MB
+  static constexpr std::size_t kSmallHops = std::size_t{1} << 15;
+  static constexpr std::size_t kMixes = std::size_t{1} << 17;
+  static constexpr std::size_t kLargeHops = std::size_t{1} << 16;
+
+  /// A table whose entries form one cycle through every slot (Sattolo).
+  static std::vector<std::uint32_t> cycle(std::size_t slots) {
+    std::vector<std::uint32_t> next(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+      next[i] = static_cast<std::uint32_t>(i);
+    }
+    InputRng rng(0xCA11B);
+    for (std::size_t i = slots - 1; i > 0; --i) {
+      std::swap(next[i], next[rng.below(i)]);
+    }
+    return next;
+  }
+
+  static std::uint32_t chase(const std::vector<std::uint32_t>& next,
+                             std::size_t hops) {
+    std::uint32_t at = 0;
+    for (std::size_t i = 0; i < hops; ++i) at = next[at];
+    // Keeps the chase before the caller's clock read.
+    asm volatile("" : "+r"(at) : : "memory");
+    return at;
+  }
+
+  std::uint64_t core_pass() const {
+    std::uint64_t h = chase(small_, kSmallHops);
+    for (std::size_t i = 0; i < kMixes; ++i) {
+      h = h * 0x9E3779B97F4A7C15ULL + 0x632BE59BD9B4E019ULL;
+      h ^= h >> 29;
+    }
+    asm volatile("" : "+r"(h) : : "memory");
+    return h;
+  }
+
+  std::uint32_t cache_pass() const { return chase(large_, kLargeHops); }
+
+  std::size_t window_;
+  std::vector<std::uint32_t> small_;
+  std::vector<std::uint32_t> large_;
+  std::vector<double> core_;
+  std::vector<double> cache_;
+  std::vector<double> samples_;  // core + cache
+  std::vector<std::size_t> steps_;  // timed steps done before each sample
+  Clock::time_point last_ = Clock::now();
+};
 
 /// Spans recorded by the benchmark around its calls into the library:
 /// name, start, end, parent span, and the step they belong to. Kept in
@@ -354,26 +457,47 @@ class Result {
   std::vector<std::pair<std::string, Metric>> metrics_;
 };
 
-/// Adds the five end-to-end metrics of a run and says on stderr how the
-/// step statistics were formed.
-inline void report_end_to_end(Result& result,
+
+/// Adds the five end-to-end metrics of a run, from CPU times (cpu_ms) at
+/// the reference host speed (HostProbe), and prints the unscaled figures,
+/// the probe and the wall-clock step times on stderr.
+inline void report_end_to_end(Result& result, const HostProbe& probe,
                               const std::vector<double>& setup_s,
                               const std::vector<double>& step_ms,
                               const std::vector<double>& end_ms,
+                              const std::vector<double>& wall_step_ms,
                               double ops_per_step, double tail_target,
                               double rss_mb) {
-  const StepSummary s =
+  const double k = probe.scale();
+  std::vector<double> scaled_step(step_ms.size());
+  std::vector<double> scaled_end(end_ms.size());
+  double end = 0;
+  for (std::size_t i = 0; i < step_ms.size() && i < end_ms.size(); ++i) {
+    const double ki = probe.scale_at(i);
+    scaled_step[i] = step_ms[i] * ki;
+    end += (end_ms[i] - (i == 0 ? 0.0 : end_ms[i - 1])) * ki;
+    scaled_end[i] = end;
+  }
+  const StepSummary raw =
       summarize_steps(step_ms, end_ms, ops_per_step, tail_target);
-  print_percentiles(step_ms);
+  const StepSummary s =
+      summarize_steps(scaled_step, scaled_end, ops_per_step, tail_target);
+  print_percentiles("CPU", step_ms);
+  print_percentiles("wall", wall_step_ms);
   std::fprintf(stderr,
                "%zu timed steps in %zu chunks; step_tail_ms is the median of "
                "the chunks' p%g (%zu steps beyond it per chunk)\n"
-               "setup samples (s):",
+               "host probe: median %.4f ms (core %.4f, cache %.4f) over %zu "
+               "samples, set-up scale %.4f; "
+               "unscaled: setup_s=%.4f ops_per_s=%.1f step_p50_ms=%.4f "
+               "step_tail_ms=%.4f\nsetup samples (CPU s, unscaled):",
                s.steps, StepSummary::kChunks, s.tail_percentile,
-               s.beyond_per_chunk);
+               s.beyond_per_chunk, probe.median_ms(), probe.core_median_ms(),
+               probe.cache_median_ms(), probe.samples(), k,
+               median(setup_s), raw.ops_per_s, raw.p50_ms, raw.tail_ms);
   for (const double x : setup_s) std::fprintf(stderr, " %.4f", x);
   std::fprintf(stderr, "\n");
-  result.metric("setup_s", median(setup_s), "s");
+  result.metric("setup_s", median(setup_s) * k, "s");
   result.metric("ops_per_s", s.ops_per_s, "ops/s");
   result.metric("step_p50_ms", s.p50_ms, "ms");
   result.metric("step_tail_ms", s.tail_ms, "ms");

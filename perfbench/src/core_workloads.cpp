@@ -30,6 +30,7 @@ constexpr std::size_t kN0 = 100000;
 constexpr std::size_t kInitialByzantine = kN0 * 5 / 100;
 constexpr std::size_t kShards = 4;  // = nproc of the reference host
 constexpr std::size_t kSetupSamples = 5;
+constexpr std::size_t kProbeSamples = 10;  // HostProbe samples per set-up
 
 // churn_batch step shape: 256 joins + 256 leaves, 16 of the leaves forced
 // from the currently smallest cluster (the batched forced-leave shape).
@@ -40,10 +41,6 @@ constexpr std::size_t kForcedLeaves = 16;
 constexpr std::size_t kBatchWarmupSteps = 30;
 constexpr std::size_t kBatchCheckEvery = 25;
 constexpr double kBatchTailPercentile = 90;
-// Peak RSS is read after a fixed number of timed steps: node ids are never
-// reused, so the id-indexed arrays grow with the amount of churn, and a
-// fixed-time run on a faster host would otherwise report more memory.
-constexpr std::size_t kBatchRssStep = 300;
 
 // attack_seq: a quarter of the steps are uniform background churn.
 constexpr double kBackgroundShare = 0.25;
@@ -68,11 +65,12 @@ struct Deployment {
   NowSystem system;
   explicit Deployment(std::uint64_t seed)
       : system(deployment_params(), metrics, seed) {}
+  /// Returns the CPU seconds initialize() took.
   double initialize() {
-    const auto t0 = Clock::now();
+    const double c0 = cpu_ms();
     (void)system.initialize(kN0, kInitialByzantine,
                             now::core::InitTopology::kModeledSparse);
-    return ms_between(t0, Clock::now()) / 1000.0;
+    return (cpu_ms() - c0) / 1000.0;
   }
 };
 
@@ -81,11 +79,13 @@ struct Deployment {
 /// heap; the rest reuse the memory the previous one freed, so the median
 /// measures the set-up work rather than how fast this VM hands out fresh
 /// pages, which varied 2-3x from run to run on the reference host.
-std::unique_ptr<Deployment> set_up(std::uint64_t seed,
+std::unique_ptr<Deployment> set_up(std::uint64_t seed, HostProbe& probe,
                                    std::vector<double>& samples) {
   for (std::size_t i = 0; i + 1 < kSetupSamples; ++i) {
+    probe.sample(kProbeSamples, 0);
     samples.push_back(Deployment(seed).initialize());
   }
+  probe.sample(kProbeSamples, 0);
   auto d = std::make_unique<Deployment>(seed);
   samples.push_back(d->initialize());
   return d;
@@ -216,9 +216,9 @@ double ns_to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 }  // namespace
 
 void run_churn_batch(const RunConfig& config, Result& result) {
-  const double calib_before = calibration_ms();
+  HostProbe probe;
   std::vector<double> setup;
-  auto main = set_up(system_seed(config.seed), setup);
+  auto main = set_up(system_seed(config.seed), probe, setup);
   NowSystem& system = main->system;
   std::unique_ptr<Deployment> twin;
   if (config.trace) {
@@ -241,6 +241,12 @@ void run_churn_batch(const RunConfig& config, Result& result) {
     }
   }
 
+  // Peak RSS is read at the end of warm-up. Node ids are never reused, so
+  // memory keeps growing with churn, and in the timed phase it grows in
+  // jumps of 10-18 MB at steps that differ from run to run (at step 300
+  // the peak read 62-75 MB over five seeds, against 34.7-35.4 MB here).
+  const double rss_mb = self_peak_rss_mb();
+
   SpanLog spans;
   std::vector<double> step_ms;
   std::vector<double> end_ms;
@@ -251,12 +257,13 @@ void run_churn_batch(const RunConfig& config, Result& result) {
   std::uint64_t messages = 0;
   std::uint64_t rounds = 0;
   double ops = 0;
-  double rss_mb = 0;
   const std::uint64_t byzantine_start = system.state().byzantine_total();
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(config.seconds));
-  const auto t_start = Clock::now();
+  std::vector<double> wall_ms;
+  double probe_ms = 0;  // HostProbe CPU time inside the timed phase
+  const double cpu_start = cpu_ms();
   for (std::uint64_t step = 0; Clock::now() < deadline; ++step) {
     result.attempt();
     const std::size_t root = spans.open("step", step);
@@ -266,6 +273,7 @@ void run_churn_batch(const RunConfig& config, Result& result) {
     const bool obs_on = config.trace && step % 2 == 1;
     if (obs_on) now::obs::set_enabled(true);
     const std::size_t call = spans.open("core.step_parallel_mixed", step, root);
+    const double c0 = cpu_ms();
     const auto t0 = Clock::now();
     OpReport report;
     try {
@@ -279,9 +287,10 @@ void run_churn_batch(const RunConfig& config, Result& result) {
       break;
     }
     const auto t1 = Clock::now();
+    step_ms.push_back(cpu_ms() - c0);
+    wall_ms.push_back(ms_between(t0, t1));
     spans.close(call);
     if (obs_on) now::obs::set_enabled(false);
-    step_ms.push_back(ms_between(t0, t1));
     ops += static_cast<double>(kBatchJoins + kBatchLeaves);
     messages += report.cost.messages;
     rounds += report.cost.rounds;
@@ -336,10 +345,9 @@ void run_churn_batch(const RunConfig& config, Result& result) {
       result.wrong("step " + std::to_string(step) + ": " + why);
       break;
     }
-    if (step + 1 == kBatchRssStep) rss_mb = self_peak_rss_mb();
-    end_ms.push_back(ms_between(t_start, Clock::now()));
+    end_ms.push_back(cpu_ms() - cpu_start - probe_ms);
+    probe_ms += probe.tick(step_ms.size());
   }
-  if (rss_mb == 0) rss_mb = self_peak_rss_mb();
 
   const Sample final_sample = sample_invariants(system);
   if (final_sample.structural != 0) {
@@ -349,14 +357,12 @@ void run_churn_batch(const RunConfig& config, Result& result) {
   if (twin && fingerprint(system) != fingerprint(twin->system)) {
     result.wrong("shards=1 twin final state differs from shards=4 state");
   }
-  const double calib_after = calibration_ms();
+  probe.sample(kProbeSamples, step_ms.size());
 
   if (!config.trace) {
-    report_end_to_end(result, setup, step_ms, end_ms,
+    report_end_to_end(result, probe, setup, step_ms, end_ms, wall_ms,
                       static_cast<double>(kBatchJoins + kBatchLeaves),
                       kBatchTailPercentile, rss_mb);
-    std::fprintf(stderr, "host.calib_ms before=%.2f after=%.2f\n",
-                 calib_before, calib_after);
     return;
   }
 
@@ -382,7 +388,7 @@ void run_churn_batch(const RunConfig& config, Result& result) {
                        {"core.stage1_ms", stage1},
                        {"core.stage2_ms", stage2},
                        {"core.step_other_ms", other}},
-                      median(step_ms));
+                      median(wall_ms));
   result.metric("core.plan_ms", plan, "ms");
   result.metric("core.resolve_ms", resolve, "ms");
   result.metric("core.stage1_ms", stage1, "ms");
@@ -426,7 +432,7 @@ void run_churn_batch(const RunConfig& config, Result& result) {
   result.metric("obs.overhead_pct",
                 obs_overhead_pct(spans.durations("core.step_parallel_mixed")),
                 "%");
-  result.metric("host.calib_ms", (calib_before + calib_after) / 2, "ms");
+  result.metric("host.calib_ms", probe.median_ms(), "ms");
   report_step_shape(result, step_ms, end_ms, kBatchTailPercentile);
   spans.write_chrome_trace(config.work_dir + "/spans_churn_batch.json");
 }
@@ -491,9 +497,9 @@ SeqStep make_seq_step(const NowSystem& system, ClusterId& target,
 }  // namespace
 
 void run_attack_seq(const RunConfig& config, Result& result) {
-  const double calib_before = calibration_ms();
+  HostProbe probe;
   std::vector<double> setup;
-  auto main = set_up(system_seed(config.seed), setup);
+  auto main = set_up(system_seed(config.seed), probe, setup);
   NowSystem& system = main->system;
   InputRng rng(config.seed);
   ClusterId target = most_polluted(system);
@@ -520,7 +526,9 @@ void run_attack_seq(const RunConfig& config, Result& result) {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(config.seconds));
-  const auto t_start = Clock::now();
+  std::vector<double> wall_ms;
+  double probe_ms = 0;  // HostProbe CPU time inside the timed phase
+  const double cpu_start = cpu_ms();
   for (std::uint64_t step = 0; Clock::now() < deadline; ++step) {
     result.attempt();
     const std::size_t root = config.trace ? spans.open("step", step) : 0;
@@ -532,6 +540,7 @@ void run_attack_seq(const RunConfig& config, Result& result) {
     if (obs_on) now::obs::set_enabled(true);
     OpReport left;
     OpReport joined;
+    const double c0 = cpu_ms();
     const auto t0 = Clock::now();
     Clock::time_point t1;
     try {
@@ -551,8 +560,9 @@ void run_attack_seq(const RunConfig& config, Result& result) {
       break;
     }
     const auto t2 = Clock::now();
+    step_ms.push_back(cpu_ms() - c0);
+    wall_ms.push_back(ms_between(t0, t2));
     if (obs_on) now::obs::set_enabled(false);
-    step_ms.push_back(ms_between(t0, t2));
     ops += 2;
     messages += left.cost.messages + joined.cost.messages;
     rounds += left.cost.rounds + joined.cost.rounds;
@@ -585,7 +595,8 @@ void run_attack_seq(const RunConfig& config, Result& result) {
       break;
     }
     if (step + 1 == kSeqRssStep) rss_mb = self_peak_rss_mb();
-    end_ms.push_back(ms_between(t_start, Clock::now()));
+    end_ms.push_back(cpu_ms() - cpu_start - probe_ms);
+    probe_ms += probe.tick(step_ms.size());
   }
   if (rss_mb == 0) rss_mb = self_peak_rss_mb();
   const Sample final_sample = sample_invariants(system);
@@ -593,13 +604,11 @@ void run_attack_seq(const RunConfig& config, Result& result) {
     result.wrong("final invariant violated: " + final_sample.first_violation);
   }
   max_compromised = std::max(max_compromised, final_sample.compromised);
-  const double calib_after = calibration_ms();
+  probe.sample(kProbeSamples, step_ms.size());
 
   if (!config.trace) {
-    report_end_to_end(result, setup, step_ms, end_ms, 2, kSeqTailPercentile,
-                      rss_mb);
-    std::fprintf(stderr, "host.calib_ms before=%.2f after=%.2f\n",
-                 calib_before, calib_after);
+    report_end_to_end(result, probe, setup, step_ms, end_ms, wall_ms, 2,
+                      kSeqTailPercentile, rss_mb);
     return;
   }
 
@@ -609,8 +618,8 @@ void run_attack_seq(const RunConfig& config, Result& result) {
   {
     const auto leaves = spans.durations("core.leave");
     const auto joins = spans.durations("core.join");
-    for (std::size_t i = 0; i < step_ms.size() && i < leaves.size(); ++i) {
-      call_other.push_back(step_ms[i] - leaves[i] - joins[i]);
+    for (std::size_t i = 0; i < wall_ms.size() && i < leaves.size(); ++i) {
+      call_other.push_back(wall_ms[i] - leaves[i] - joins[i]);
     }
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       call_ms.push_back(leaves[i] + joins[i]);
@@ -621,7 +630,7 @@ void run_attack_seq(const RunConfig& config, Result& result) {
                       {{"core.leave_ms", leave},
                        {"core.join_ms", join},
                        {"core.seq_other_ms", other}},
-                      median(step_ms));
+                      median(wall_ms));
   result.metric("core.join_ms", join, "ms");
   result.metric("core.leave_ms", leave, "ms");
   result.metric("core.seq_other_ms", other, "ms");
@@ -645,7 +654,7 @@ void run_attack_seq(const RunConfig& config, Result& result) {
                     static_cast<double>(system.num_nodes()),
                 "B");
   result.metric("obs.overhead_pct", obs_overhead_pct(call_ms), "%");
-  result.metric("host.calib_ms", (calib_before + calib_after) / 2, "ms");
+  result.metric("host.calib_ms", probe.median_ms(), "ms");
   report_step_shape(result, step_ms, end_ms, kSeqTailPercentile);
   spans.write_chrome_trace(config.work_dir + "/spans_attack_seq.json");
 }

@@ -1,8 +1,8 @@
 // shard_socket: the multi-process sharded runtime over local sockets, under
 // message faults, with one worker crash and checkpoint respawn per session.
 //
-// Four processes: this hub (a benchmark-owned loop of RoundEngine +
-// ShardCoordinatorActor over FaultyTransport(SocketHub)) and three worker
+// Three processes: this hub (a benchmark-owned loop of RoundEngine +
+// ShardCoordinatorActor over FaultyTransport(SocketHub)) and two worker
 // processes (this binary re-executed, run_worker over
 // FaultyTransport(SocketSpoke)). A session is one whole deployment: spawn,
 // connect, initialize, kSessionSteps lockstep steps, orderly shutdown.
@@ -45,7 +45,8 @@ using now::net::SocketSpoke;
 using now::net::Transport;
 using now::sim::ShardSpec;
 
-constexpr std::size_t kShardsPerRun = 3;
+// Hub + two workers: on a 4-vCPU host one vCPU stays free for the rest.
+constexpr std::size_t kShardsPerRun = 2;
 constexpr std::size_t kShardN0 = 400;
 constexpr std::size_t kBatchOps = 1;  // one join + one leave per shard-step
 constexpr std::size_t kSessionSteps = 1500;
@@ -53,6 +54,8 @@ constexpr std::size_t kCheckpointEvery = 50;
 constexpr std::size_t kOpsPerStep = 2 * kBatchOps * kShardsPerRun;
 constexpr std::size_t kCapturedFrames = 4096;
 constexpr double kTailPercentile = 95;
+// HostProbe samples before the first session and after each one.
+constexpr std::size_t kProbesPerSession = 20;
 
 FaultPlan fault_plan() {
   FaultPlan plan;
@@ -102,9 +105,11 @@ double vm_hwm_mb() {
 }
 
 /// Benchmark-owned Transport decorator placed directly over the socket
-/// transport (under the fault decorator, so it sees wire traffic). Times
-/// every end_round barrier and the compute between barriers, counts the
-/// frames and encoded bytes sent, and notes which round ran a new step.
+/// transport (under the fault decorator, so it sees wire traffic). It notes
+/// which round ran a new step and, given a step log, appends one line per
+/// step: the step and this process's CPU time (cpu_ms) when that step's
+/// barrier returned. Traced, it also times every end_round barrier and the
+/// compute between barriers and counts the frames and encoded bytes sent.
 class TimingTransport final : public Transport {
  public:
   struct Round {
@@ -114,8 +119,13 @@ class TimingTransport final : public Transport {
     std::uint64_t new_step;  // step whose first digest left this round; 0 = none
   };
 
-  TimingTransport(Transport& inner, bool toggle_obs)
-      : inner_(inner), toggle_obs_(toggle_obs), last_exit_(Clock::now()) {}
+  TimingTransport(Transport& inner, bool traced, bool toggle_obs,
+                  std::FILE* step_log)
+      : inner_(inner),
+        traced_(traced),
+        toggle_obs_(toggle_obs),
+        step_log_(step_log),
+        last_exit_(Clock::now()) {}
 
   void open_endpoint(now::NodeId id) override { inner_.open_endpoint(id); }
   bool close_endpoint(now::NodeId id) override {
@@ -129,8 +139,11 @@ class TimingTransport final : public Transport {
   }
 
   void send(Message msg) override {
-    ++frames_;
-    bytes_ += now::net::encode_frame(msg).size();
+    if (traced_) {
+      ++frames_;
+      bytes_ += now::net::encode_frame(msg).size();
+      capture(msg);
+    }
     if (msg.tag == now::net::Tag::kShardDigest &&
         now::net::word_count(msg.payload) > 1) {
       const std::uint64_t step = now::net::word(msg.payload, 1);
@@ -139,7 +152,6 @@ class TimingTransport final : public Transport {
         new_step_ = step;
       }
     }
-    capture(msg);
     inner_.send(std::move(msg));
   }
 
@@ -147,8 +159,17 @@ class TimingTransport final : public Transport {
     const auto enter = Clock::now();
     inner_.end_round(round);
     const auto exit = Clock::now();
-    rounds_.push_back({round, ms_between(last_exit_, enter),
-                       ms_between(enter, exit), new_step_});
+    if (step_log_ != nullptr && new_step_ != 0) {
+      std::fprintf(step_log_, "%llu %.6f\n",
+                   static_cast<unsigned long long>(new_step_), cpu_ms());
+      // A crash loses at most the lines since the last checkpoint step,
+      // and the respawned worker replays those steps.
+      if (new_step_ % kCheckpointEvery == 0) std::fflush(step_log_);
+    }
+    if (traced_) {
+      rounds_.push_back({round, ms_between(last_exit_, enter),
+                         ms_between(enter, exit), new_step_});
+    }
     new_step_ = 0;
     last_exit_ = exit;
     // Telemetry on for odd steps only: the paired obs-overhead measure.
@@ -157,6 +178,7 @@ class TimingTransport final : public Transport {
 
   void poll(now::NodeId id, std::vector<Message>& out) override {
     inner_.poll(id, out);
+    if (!traced_) return;
     for (const Message& m : out) {
       if (m.tag == now::net::Tag::kShardDigest &&
           now::net::word_count(m.payload) > 1) {
@@ -184,7 +206,9 @@ class TimingTransport final : public Transport {
   }
 
   Transport& inner_;
+  bool traced_;
   bool toggle_obs_;
+  std::FILE* step_log_;
   Clock::time_point last_exit_;
   std::uint64_t last_step_ = 0;
   std::uint64_t new_step_ = 0;
@@ -251,8 +275,40 @@ struct WorkerArgs {
   std::uint64_t seed = 0;
   bool trace = false;
   std::size_t crash_at = 0;
+  std::size_t generation = 0;  // 0 for a shard's first process, 1 respawned
   std::string session_dir;
 };
+
+/// A worker's step log: one line "step cpu_ms" per step it ran.
+std::string cpu_log_path(const std::string& session_dir, std::size_t shard,
+                         std::size_t generation) {
+  return session_dir + "/cpu_" + std::to_string(shard) + "_" +
+         std::to_string(generation) + ".log";
+}
+
+/// CPU time (ms) a shard's processes spent on each step, from their step
+/// logs: the CPU time between the step's line and the previous line of the
+/// same process; the first line of a process carries everything since the
+/// process started (set-up, or restore after a crash). Steps a respawned
+/// process replayed take the respawned process's figure; a step with no
+/// line (around a crash, where the respawned process's first line carries
+/// its restore and replay) counts 0.
+std::map<std::uint64_t, double> shard_step_cpu(const std::string& session_dir,
+                                               std::size_t shard) {
+  std::map<std::uint64_t, double> cpu;
+  for (std::size_t gen = 0;; ++gen) {
+    std::ifstream in(cpu_log_path(session_dir, shard, gen));
+    if (!in) break;
+    std::uint64_t step = 0;
+    double at = 0;
+    double prev = 0;
+    while (in >> step >> at) {
+      cpu[step] = at - prev;
+      prev = at;
+    }
+  }
+  return cpu;
+}
 
 std::vector<std::string> worker_argv(const WorkerArgs& a) {
   return {"/proc/self/exe",      "worker",
@@ -261,6 +317,7 @@ std::vector<std::string> worker_argv(const WorkerArgs& a) {
           "--seed",              std::to_string(a.seed),
           "--trace",             a.trace ? "1" : "0",
           "--crash-at",          std::to_string(a.crash_at),
+          "--generation",        std::to_string(a.generation),
           "--session-dir",       a.session_dir};
 }
 
@@ -317,14 +374,17 @@ class WorkerSet {
 };
 
 struct Session {
-  double setup_s = 0;
-  std::vector<double> step_ms;       // merge-to-merge intervals
+  double setup_s = 0;                // wall
+  double setup_cpu_s = 0;            // hub + workers
+  std::vector<double> step_ms;       // merge-to-merge intervals (wall)
+  std::vector<double> step_cpu_ms;   // CPU of hub + workers per interval
   std::vector<std::size_t> step_no;  // merged step each interval ends at
   std::uint64_t digest = 0;
   std::size_t merged = 0;
   std::size_t respawns = 0;
   std::size_t crash_exits = 0;
   std::size_t bad_exits = 0;
+  std::size_t missing_cpu = 0;  // shard-steps without a step-log line
   double recovery_ms = -1;
   std::size_t engine_rounds = 0;
   double worker_hwm_mb = 0;
@@ -345,6 +405,8 @@ Session run_session(const RunConfig& config, const SocketInputs& in,
                     const std::string& session_dir, SpanLog& spans) {
   Session out;
   const auto t0 = Clock::now();
+  const double cpu0 = cpu_ms();
+  std::vector<double> hub_cpu_ms;  // hub CPU per merge-to-merge interval
   std::filesystem::remove_all(session_dir);
   std::filesystem::create_directories(session_dir);
 
@@ -365,7 +427,8 @@ Session run_session(const RunConfig& config, const SocketInputs& in,
   std::unique_ptr<TimingTransport> timing;
   Transport* below_faults = hub.get();
   if (config.trace) {
-    timing = std::make_unique<TimingTransport>(*hub, /*toggle_obs=*/false);
+    timing = std::make_unique<TimingTransport>(*hub, /*traced=*/true,
+                                               /*toggle_obs=*/false, nullptr);
     below_faults = timing.get();
   }
   FaultyTransport faulty(*below_faults, fault_plan(), in.fault_seed);
@@ -376,7 +439,10 @@ Session run_session(const RunConfig& config, const SocketInputs& in,
   engine.add_actor(now::sim::coordinator_node(), std::move(coordinator));
 
   const std::size_t cap = in.spec.effective_round_cap();
+  std::vector<std::size_t> generation(kShardsPerRun, 0);
   Clock::time_point prev_merge{};
+  double prev_merge_cpu = 0;
+  std::size_t first_merged = 0;
   Clock::time_point crash_seen{};
   bool crash_pending = false;
   double step_compute_ms = 0;
@@ -403,13 +469,18 @@ Session run_session(const RunConfig& config, const SocketInputs& in,
     }
     const std::size_t merged = coord->result().steps_completed;
     if (merged > out.merged) {
+      const double cpu = cpu_ms();
       if (out.merged == 0) {
         out.setup_s = ms_between(t0, r1) / 1000.0;
+        out.setup_cpu_s = (cpu - cpu0) / 1000.0;
+        first_merged = merged;
       } else {
         out.step_ms.push_back(ms_between(prev_merge, r1));
+        hub_cpu_ms.push_back(cpu - prev_merge_cpu);
         out.step_no.push_back(merged);
         if (timing) out.step_hub_compute_ms.push_back(step_compute_ms);
       }
+      prev_merge_cpu = cpu;
       step_compute_ms = 0;
       if (crash_pending) {
         out.recovery_ms = ms_between(crash_seen, r1);
@@ -433,6 +504,7 @@ Session run_session(const RunConfig& config, const SocketInputs& in,
       ++out.respawns;
       args.shard = shard;
       args.crash_at = 0;
+      args.generation = ++generation[shard];
       workers.spawn(args);
     }
     if (coord->finished() && hub->num_live_spokes() == 0) break;
@@ -442,6 +514,30 @@ Session run_session(const RunConfig& config, const SocketInputs& in,
   }
   out.digest = coord->result().run_digest;
   out.engine_rounds = coord->result().engine_rounds;
+
+  // CPU per interval: the hub's plus every shard's for the steps merged in
+  // it; set-up: the hub's until the first merge plus the workers' through
+  // the first step.
+  out.step_cpu_ms = hub_cpu_ms;
+  for (std::size_t shard = 0; shard < kShardsPerRun; ++shard) {
+    const auto cpu = shard_step_cpu(session_dir, shard);
+    const auto at = [&](std::uint64_t step) {
+      const auto it = cpu.find(step);
+      if (it != cpu.end()) return it->second;
+      ++out.missing_cpu;
+      return 0.0;
+    };
+    for (std::uint64_t step = 1; step <= first_merged; ++step) {
+      out.setup_cpu_s += at(step) / 1000.0;
+    }
+    std::uint64_t prev = first_merged;
+    for (std::size_t i = 0; i < out.step_no.size(); ++i) {
+      for (std::uint64_t step = prev + 1; step <= out.step_no[i]; ++step) {
+        out.step_cpu_ms[i] += at(step);
+      }
+      prev = out.step_no[i];
+    }
+  }
 
   for (const auto& entry : std::filesystem::directory_iterator(session_dir)) {
     if (entry.path().extension() != ".stats") continue;
@@ -618,7 +714,11 @@ void report_traced(const std::vector<Session>& sessions, const SocketInputs& in,
 }  // namespace
 
 void run_shard_socket(const RunConfig& config, Result& result) {
-  const double calib_before = calibration_ms();
+  // The steps' work runs in the workers, on other cores than the hub's
+  // probe, so the probe only reports (host.calib_ms) and scales nothing:
+  // scaled by it, ten-run spreads were 2-3x those of the unscaled figures.
+  HostProbe probe(HostProbe::kNoScaling);
+  probe.sample(kProbesPerSession, 0);
   const std::string ckpt_root = config.work_dir + "/socket";
   const SocketInputs in = socket_inputs(config.seed, ckpt_root + "/session");
 
@@ -637,7 +737,8 @@ void run_shard_socket(const RunConfig& config, Result& result) {
 
   std::vector<Session> sessions;
   SpanLog spans;  // traced runs: hub rounds and their barriers
-  const auto start = Clock::now();
+  auto start = Clock::now();
+  std::size_t timed_steps = 0;  // over the sessions so far
   do {
     result.attempt(kSessionSteps);
     Session s = run_session(config, in, ckpt_root + "/session", spans);
@@ -658,33 +759,47 @@ void run_shard_socket(const RunConfig& config, Result& result) {
     }
     if (s.bad_exits != 0) result.wrong(tag + ": a worker exited abnormally");
     sessions.push_back(std::move(s));
+    // Between sessions no worker runs, so the probe has the host to itself.
+    const auto p0 = Clock::now();
+    timed_steps += sessions.back().step_ms.size();
+    probe.sample(kProbesPerSession, timed_steps);
+    start += Clock::now() - p0;
   } while (ms_between(start, Clock::now()) < config.seconds * 1000.0 &&
            result.correct());
   std::filesystem::remove_all(ckpt_root);
-  const double calib_after = calibration_ms();
 
   // Timed steps of every session back to back; set-up gaps are excluded.
-  std::vector<double> setup, step_ms, end_ms;
+  std::vector<double> setup, step_ms, end_ms, wall_ms, wall_end_ms;
   double rss = vm_hwm_mb();
+  std::size_t missing_cpu = 0;
   for (const Session& s : sessions) {
-    setup.push_back(s.setup_s);
-    for (const double ms : s.step_ms) {
+    setup.push_back(s.setup_cpu_s);
+    for (const double ms : s.step_cpu_ms) {
       end_ms.push_back((end_ms.empty() ? 0.0 : end_ms.back()) + ms);
       step_ms.push_back(ms);
     }
+    for (const double ms : s.step_ms) {
+      wall_end_ms.push_back((wall_end_ms.empty() ? 0.0 : wall_end_ms.back()) +
+                            ms);
+      wall_ms.push_back(ms);
+    }
     rss = std::max(rss, s.worker_hwm_mb);
+    missing_cpu += s.missing_cpu;
   }
-  std::fprintf(stderr, "sessions=%zu; host.calib_ms before=%.2f after=%.2f\n",
-               sessions.size(), calib_before, calib_after);
+  std::fprintf(stderr, "sessions=%zu; wall set-up (s):", sessions.size());
+  for (const Session& s : sessions) std::fprintf(stderr, " %.4f", s.setup_s);
+  std::fprintf(stderr, "\n");
+  std::fprintf(stderr, "shard-steps without a step-log line: %zu\n",
+               missing_cpu);
   if (config.trace) {
     report_traced(sessions, in, config.work_dir, result);
-    result.metric("host.calib_ms", (calib_before + calib_after) / 2, "ms");
-    report_step_shape(result, step_ms, end_ms, kTailPercentile);
+    result.metric("host.calib_ms", probe.median_ms(), "ms");
+    report_step_shape(result, wall_ms, wall_end_ms, kTailPercentile);
     std::filesystem::remove_all(config.work_dir + "/ckpt_probe");
     spans.write_chrome_trace(config.work_dir + "/spans_shard_socket.json");
     return;
   }
-  report_end_to_end(result, setup, step_ms, end_ms,
+  report_end_to_end(result, probe, setup, step_ms, end_ms, wall_ms,
                     static_cast<double>(kOpsPerStep), kTailPercentile, rss);
 }
 
@@ -705,29 +820,29 @@ int shard_socket_worker(int argc, char** argv) {
       a.crash_at = std::strtoull(value, nullptr, 10);
     } else if (flag == "--session-dir") {
       a.session_dir = value;
+    } else if (flag == "--generation") {
+      a.generation = std::strtoull(value, nullptr, 10);
     }
   }
   try {
     const SocketInputs in = socket_inputs(a.seed, a.session_dir);
     auto spoke = SocketSpoke::connect(a.port, a.shard);
-    std::unique_ptr<TimingTransport> timing;
-    Transport* below_faults = spoke.get();
-    if (a.trace) {
-      timing = std::make_unique<TimingTransport>(*spoke, /*toggle_obs=*/true);
-      below_faults = timing.get();
-    }
-    FaultyTransport faulty(*below_faults, fault_plan(), in.fault_seed);
+    std::FILE* step_log =
+        std::fopen(cpu_log_path(a.session_dir, a.shard, a.generation).c_str(),
+                   "w");
+    if (step_log == nullptr) throw std::runtime_error("cannot open step log");
+    TimingTransport timing(*spoke, a.trace, /*toggle_obs=*/a.trace, step_log);
+    FaultyTransport faulty(timing, fault_plan(), in.fault_seed);
     now::sim::run_worker(in.spec, a.shard, faulty, a.crash_at);
+    std::fclose(step_log);
     now::obs::set_enabled(false);
     WorkerStats stats;
     stats.shard = a.shard;
     stats.hwm_mb = vm_hwm_mb();
     stats.faults = count_faults(faulty.events());
-    if (timing) {
-      stats.frames = timing->frames();
-      stats.bytes = timing->bytes();
-      stats.rounds = timing->rounds();
-    }
+    stats.frames = timing.frames();
+    stats.bytes = timing.bytes();
+    stats.rounds = timing.rounds();
     write_stats(a.session_dir + "/worker_" + std::to_string(a.shard) + "_" +
                     std::to_string(::getpid()) + ".stats",
                 stats);
