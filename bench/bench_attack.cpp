@@ -185,8 +185,7 @@ int run(std::size_t shards, TraceMode mode) {
   // parallel-operations regime (batch of 8 + 8 per step, sharded engine);
   // the forced-leave DoS quota (every leave slot adversarially forced at
   // the worst/smallest clusters, on top of the corrupted joiners) is the
-  // leave-heavy worst case the optimistic-resolve engine is exercised
-  // under.
+  // leave-heavy worst case the batch engine is exercised under.
   const std::size_t batched_steps = 400;
   for (const std::size_t quota : {std::size_t{0}, std::size_t{8}}) {
     const std::string attack =

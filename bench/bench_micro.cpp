@@ -175,11 +175,6 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
   params.max_size = std::max<std::uint64_t>(std::uint64_t{1} << 12,
                                             std::bit_ceil(2 * n));
   params.walk_mode = core::WalkMode::kSampleExact;
-  switch (state.range(2)) {
-    case 1: params.resolve_mode = core::ResolveMode::kSequential; break;
-    case 2: params.resolve_mode = core::ResolveMode::kOptimistic; break;
-    default: break;
-  }
   Metrics metrics;
   core::NowSystem system{params, metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
@@ -242,18 +237,16 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinLeaveCycle)
     ->UseManualTime()
-    ->Args({800, 1, 0})
-    ->Args({800, 4, 0})
-    ->Args({100000, 1, 0})
-    ->Args({100000, 4, 0})
-    ->Args({100000, 4, 1})
-    ->Args({100000, 4, 2})
-    ->Args({200000, 1, 0})
-    ->Args({200000, 4, 0});
+    ->Args({800, 1})
+    ->Args({800, 4})
+    ->Args({100000, 1})
+    ->Args({100000, 4})
+    ->Args({200000, 1})
+    ->Args({200000, 4});
 
 /// BM_JoinLeaveCycle's sharded body with the telemetry layer switched ON
 /// (spans recorded, counters incremented) — the obs-overhead guard row.
-/// scripts/check_bench.py compares it against BM_JoinLeaveCycle/100000/4/0
+/// scripts/check_bench.py compares it against BM_JoinLeaveCycle/100000/4
 /// (same work, telemetry off) and warns when the hooks cost more than the
 /// DESIGN.md §13 overhead budget. With NOW_OBS=OFF the two rows measure
 /// identical code.

@@ -71,11 +71,11 @@ struct OpReport {
   /// (applied at the nodes' *current* homes); a drop happens only when one
   /// of the two nodes left in this batch or both ended up in one cluster.
   std::size_t conflicts = 0;
-  /// Sharded batches only: swaps the optimistic parallel resolve handed to
-  /// the sequential conflict pass (an endpoint was touched by more than
-  /// one planned move, so the swap must be re-resolved in canonical order
-  /// at the nodes' then-current homes). Everything else resolved in
-  /// parallel. Deterministic — identical for every shard count.
+  /// Sharded batches only: swaps that missed the resolve's planned-slot
+  /// fast path (an earlier move of this batch relocated or removed an
+  /// endpoint) and were re-resolved at the nodes' then-current homes.
+  /// Includes every dropped swap (`conflicts`). Deterministic — identical
+  /// for every shard count.
   std::size_t resolve_replays = 0;
   /// Sharded batches only: each shard's planning-phase cost (messages are
   /// exact; rounds are the shard's sequential sum, the batch's round count
@@ -112,10 +112,10 @@ struct OpReport {
   /// resolve/stage1/stage2 below partition commit_ns.
   std::uint64_t plan_ns = 0;
   /// Sharded batches only: wall-clock nanoseconds of the commit's resolve
-  /// passes (sequential op edits + swap fate classification/replay).
+  /// passes (sequential op edits + swap resolution).
   std::uint64_t resolve_ns = 0;
   /// Sharded batches only: wall-clock nanoseconds of the stage-1 parallel
-  /// gather/scatter member-edit apply.
+  /// member-edit apply.
   std::uint64_t stage1_ns = 0;
   /// Sharded batches only: wall-clock nanoseconds of stage 2 (spill
   /// re-homing, Fenwick delta merge, deferred splits/merges, compaction
@@ -200,19 +200,15 @@ class NowSystem {
   /// own derived stream; waves induced by a leave additionally schedule one
   /// deduplicated secondary wave per partner cluster. Planning reads the
   /// persistent PlanCache (core/plan_cache.hpp), maintained incrementally
-  /// across batches. Commit resolves OPTIMISTICALLY: swaps whose endpoints
-  /// are touched by exactly one planned move resolve in parallel against
-  /// the snapshot (their outcome provably equals the canonical sequential
-  /// one); the footprint-detected conflicting remainder is re-resolved
-  /// sequentially in canonical order. Stage 1 then applies the per-cluster
-  /// member edits shard-parallel against contiguous slot blocks, and
-  /// stage 2 merges the per-shard size deltas into the Fenwick mirror and
-  /// runs the deferred splits/merges sequentially. Because plans depend
-  /// only on the snapshot and per-op/per-wave streams, the wave list is
-  /// canonical, and the resolve outcome is order-equivalent to the
-  /// canonical sequential pass, the resulting state is IDENTICAL for every
-  /// shard count (shards = 1 included); the shard count only changes
-  /// wall-clock. This entry point always uses the sharded engine, so
+  /// across batches. Commit resolves every planned move sequentially in
+  /// canonical order at the nodes' current homes. Stage 1 then applies the
+  /// per-cluster member edits shard-parallel against contiguous slot
+  /// blocks, and stage 2 merges the per-shard size deltas into the Fenwick
+  /// mirror and runs the deferred splits/merges sequentially. Because
+  /// plans depend only on the snapshot and per-op/per-wave streams, the
+  /// wave list is canonical, and the resolve runs in canonical order, the
+  /// resulting state is IDENTICAL for every shard count (shards = 1
+  /// included); the shard count only changes wall-clock. This entry point always uses the sharded engine, so
   /// `shards = 1` here is the equivalence baseline, while
   /// step_parallel(..., shards = 1) is the legacy sequential engine.
   std::pair<std::vector<NodeId>, OpReport> step_parallel_sharded(
@@ -262,12 +258,12 @@ class NowSystem {
 
   /// Writes a versioned binary snapshot of the full deterministic state
   /// (core/snapshot.hpp). Restore-then-continue is bit-identical to never
-  /// having saved, for every shard count and ResolveMode.
+  /// having saved, for every shard count.
   void save(const std::string& path) const;
 
   /// Restores a snapshot into this system, which must be freshly
-  /// constructed with the same behavior-relevant NowParams (resolve_mode
-  /// and shard counts may differ — they never change results). Throws
+  /// constructed with the same behavior-relevant NowParams (shard counts
+  /// may differ — they never change results). Throws
   /// core::SnapshotError on malformed files, version or parameter
   /// mismatch.
   void load(const std::string& path);
@@ -281,11 +277,6 @@ class NowSystem {
   /// Feeds the bytes_per_node scalar BENCH_micro.json records for the
   /// huge-batch tier.
   [[nodiscard]] std::size_t footprint_bytes() const;
-
-  /// Capacity of the optimistic commit's footprint array — a probe for the
-  /// allocation-regression test: it must track the slab tail geometrically
-  /// (amortized O(1) growth), never per-batch O(tail) work.
-  [[nodiscard]] std::size_t debug_foot_capacity() const;
 
   /// Verifies the persistent PlanCache against a from-scratch rebuild
   /// (sizes, neighborhoods, alias-overlay totals). For the nightly
@@ -332,8 +323,7 @@ class NowSystem {
   // Batch-engine state persisting across time steps (see now.cpp): the
   // incrementally maintained PlanCache, the per-cluster wave caches
   // (each cluster's swap/partner buffers, reused by the wave scheduler
-  // across steps), the commit's footprint counters and the per-slot /
-  // per-shard edit scratch.
+  // across steps) and the per-slot / per-shard edit scratch.
   std::unique_ptr<BatchScratch> batch_;
 };
 

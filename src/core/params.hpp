@@ -49,26 +49,6 @@ enum class Robustness {
 /// clusters proportionally smaller at small n.
 enum class ThresholdMode { kStaticN, kDynamicCurrentN };
 
-/// How the sharded batch commit resolves the planned membership moves
-/// (DESIGN.md §7). Every mode produces IDENTICAL results — the optimistic
-/// resolve provably reproduces the canonical sequential outcome swap by
-/// swap — so this is purely a wall-clock strategy knob (plus a test hook).
-enum class ResolveMode {
-  /// Optimistic parallel resolve when the thread pool has workers and
-  /// shards >= 2; the canonical sequential resolve (with its planned-slot
-  /// fast path) otherwise — on one hardware thread the footprint passes
-  /// cost more than they parallelize (BM_JoinLeaveCycle's resolve-mode
-  /// axis tracks the comparison).
-  kAuto,
-  /// Always the canonical sequential resolve (reference implementation;
-  /// OpReport::resolve_replays stays 0).
-  kSequential,
-  /// Always the multi-pass parallel form, with at least one real pool
-  /// worker even on single-core hosts — lets any test box (and TSan)
-  /// exercise the threaded classification/gather paths.
-  kOptimistic,
-};
-
 /// Which variant of the under-populated-cluster rule to run (DESIGN.md §5).
 enum class MergePolicy {
   /// Algorithm 2: the cluster dissolves, is removed from the overlay, and
@@ -94,7 +74,6 @@ struct NowParams {
   /// expected hops (the paper's O(log^2 n) walk length).
   double walk_factor = 1.0;
   WalkMode walk_mode = WalkMode::kSimulate;
-  ResolveMode resolve_mode = ResolveMode::kAuto;
   MergePolicy merge_policy = MergePolicy::kDissolve;
   cluster::RandNumMode rand_num_mode = cluster::RandNumMode::kFast;
   Robustness robustness = Robustness::kPlain;

@@ -3,9 +3,9 @@
 //
 // A snapshot captures everything the protocol's future trajectory depends
 // on: the NowState slot tables and free lists, the membership slab's exact
-// geometry (per-slot extents + allocated tail — slab positions key the
-// commit's conflict footprints and the compaction trigger is a function of
-// tail and live mass, so layout must survive a round trip verbatim), the
+// geometry (per-slot extents + allocated tail — the compaction trigger is a
+// function of tail and live mass, so layout must survive a round trip
+// verbatim), the
 // node/cluster id counters, the node -> home map (rebuilt from
 // membership), the Byzantine and live-node sets IN THEIR DENSE ORDER (both
 // orders are observable through uniform index draws and items()
@@ -19,7 +19,7 @@
 // load, then debug-asserted consistent_with(state).
 //
 // Restore-then-continue is bit-identical to the uninterrupted run for
-// every shard count and every ResolveMode (tests/core/snapshot_test.cpp).
+// every shard count (tests/core/snapshot_test.cpp).
 //
 // File format: an 8-byte magic, a little-endian u32 format version, the
 // payload, and a trailing FNV-1a-64 checksum of the payload. Loading
@@ -204,12 +204,10 @@ class SnapshotReader {
 [[nodiscard]] std::uint64_t fnv1a64(const std::uint8_t* data,
                                     std::size_t size);
 
-/// Serializes the behavior-relevant NowParams fields. resolve_mode is
-/// deliberately excluded: every resolve strategy is bit-identical, so a
-/// snapshot or trace may be resumed/replayed under any of them.
+/// Serializes the behavior-relevant NowParams fields.
 void save_params(const NowParams& params, SnapshotWriter& writer);
 
-/// Reads params written by save_params (resolve_mode is left default).
+/// Reads params written by save_params.
 [[nodiscard]] NowParams read_params(SnapshotReader& reader);
 
 /// Reads params and throws SnapshotError naming the first field that

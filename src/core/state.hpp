@@ -151,9 +151,7 @@ class NowState {
     return slot_of(id);
   }
 
-  /// The shared membership arena (read-only). The batch commit keys its
-  /// conflict footprints on slab positions (first(slot) + member index) and
-  /// sizes its footprint array to tail().
+  /// The shared membership arena (read-only).
   [[nodiscard]] const cluster::MemberSlab& member_slab() const {
     return *slab_;
   }
@@ -214,9 +212,7 @@ class NowState {
 
   // ------------------------------------------------- parallel commit (§7)
   //
-  // The sharded batch commit resolves membership moves OPTIMISTICALLY:
-  // conflict-free swaps resolve shard-parallel (commit_home writes to
-  // disjoint nodes), the footprint-flagged remainder replays sequentially
+  // The sharded batch commit resolves membership moves sequentially
   // (commit_home / clear_home keep node_home current as it goes), then
   // stage 1 partitions the touched cluster slots into contiguous blocks and
   // lets each shard apply its clusters' member edits concurrently — writing
@@ -325,10 +321,7 @@ class NowState {
 
   /// Writes a node's home as the resolve decides its move — node_home
   /// doubles as the commit's within-batch home map, so no separate scratch
-  /// structure (or deferred write pass) is needed. Safe to call from the
-  /// optimistic resolve's parallel workers because conflict-free swaps
-  /// touch disjoint nodes (distinct, pre-existing page entries); never
-  /// called concurrently for a node the sequential replay will read.
+  /// structure (or deferred write pass) is needed.
   void commit_home(NodeId node, ClusterId home) {
     node_home_.set(node.value(), home);
   }

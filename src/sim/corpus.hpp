@@ -6,7 +6,7 @@
 // topology, population, batch size, shard count, the batched adversary's
 // corruption fraction and placement policy, the forced-leave DoS quota,
 // and (since trace v2) the engine's behavior axes: merge policy, threshold
-// mode, walk mode and resolve mode — always within the model's adversary
+// mode and walk mode — always within the model's adversary
 // budget (tau <= 1/3 - eps; corrupted joiners bounded by tau * n). Every
 // generated scenario is run once with trace recording (sim/trace.hpp); a
 // scenario that violates the gated guarantees (a compromised cluster, a
@@ -18,8 +18,8 @@
 // COVERAGE. A run's coverage signature is its configuration cell (the
 // tuple of discrete config axes) crossed with the observed-behavior bits
 // the run actually exercised: did a split fire, a merge fire, a slab
-// compaction trigger, a stage-1 commit spill to stage 2, an optimistic
-// resolve get replayed sequentially, the adversary's corruption budget
+// compaction trigger, a stage-1 commit spill to stage 2, a planned swap
+// miss the resolve's fast path, the adversary's corruption budget
 // saturate. run_coverage_fleet spends a step budget exploring: instead of
 // re-rolling configs blindly it walks the enumerated config cells that no
 // run has hit yet, mutating a parent config toward each unexplored cell —
@@ -88,7 +88,6 @@ enum class FailureKind : std::uint8_t {
 struct CoverageCell {
   std::uint8_t topology = 0;        // 0 sparse-random, 1 modeled-sparse
   std::uint8_t placement = 0;       // 0 uniform, 1 targeted
-  std::uint8_t resolve = 0;         // 0 auto, 1 sequential, 2 optimistic
   std::uint8_t merge_policy = 0;    // 0 dissolve, 1 absorb
   std::uint8_t threshold_mode = 0;  // 0 static-N, 1 dynamic-current-n
   std::uint8_t walk_mode = 0;       // 0 simulate, 1 sample-exact
@@ -121,8 +120,8 @@ struct CoverageSignature {
                          const CoverageSignature&) = default;
 };
 
-/// Total enumerable config cells: 2 * 2 * 3 * 2 * 2 * 2 * 3.
-inline constexpr std::uint32_t kNumConfigCells = 288;
+/// Total enumerable config cells: 2 * 2 * 2 * 2 * 2 * 3.
+inline constexpr std::uint32_t kNumConfigCells = 96;
 
 /// The config cell a ScenarioConfig falls in (pure function of config).
 [[nodiscard]] CoverageCell cell_of(const ScenarioConfig& config);
@@ -161,9 +160,9 @@ struct CorpusCase {
 };
 
 /// One deterministic randomized scenario drawn from the axes. Randomizes
-/// every coverage axis, including merge policy, threshold mode, walk mode
-/// and resolve mode (kSimulate walks are capped to small populations —
-/// they flood real messages).
+/// every coverage axis, including merge policy, threshold mode and walk
+/// mode (kSimulate walks are capped to small populations — they flood
+/// real messages).
 [[nodiscard]] ScenarioConfig random_scenario_config(Rng& rng,
                                                     const CorpusAxes& axes);
 

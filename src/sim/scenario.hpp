@@ -143,8 +143,8 @@ struct ScenarioResult {
   // summary frame (sim/trace.cpp write_summary) — they describe which
   // engine paths a run exercised, not the trajectory itself, and adding
   // them there would break the v1 trace layout.
-  /// Swaps the optimistic resolve handed to the sequential conflict
-  /// replay, summed over the run's sharded batches.
+  /// Swaps that missed the resolve's planned-slot fast path
+  /// (OpReport::resolve_replays), summed over the run's sharded batches.
   std::size_t total_resolve_replays = 0;
   /// Stage-1 slots spilled to the sequential stage-2 commit, summed over
   /// the run's sharded batches.

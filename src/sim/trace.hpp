@@ -107,19 +107,14 @@ class TraceRecorder final : public core::TraceSink {
 inline constexpr std::size_t kReplayFromStart = static_cast<std::size_t>(-1);
 
 /// Knobs for replay_trace. The defaults reproduce the recorded run
-/// exactly; every knob preserves bit-identity of the trajectory (shard
-/// count and resolve mode are equivalence axes of the engine, and seeking
-/// restores recorded state verbatim).
+/// exactly; every knob preserves bit-identity of the trajectory (the shard
+/// count is an equivalence axis of the engine, and seeking restores
+/// recorded state verbatim).
 struct ReplayOptions {
   /// 0 = run each batch frame with its recorded shard count; otherwise
   /// override every batch with this count (the replay-level shard
   /// equivalence check).
   std::size_t shards_override = 0;
-  /// Replay under a specific ResolveMode instead of the default.
-  /// save_params excludes resolve_mode precisely so this cannot perturb
-  /// the embedded-snapshot byte comparison.
-  bool override_resolve = false;
-  core::ResolveMode resolve_mode = core::ResolveMode::kAuto;
   /// Index into trace_checkpoints() to restore and continue from
   /// (v2 only); kReplayFromStart replays the whole trace.
   std::size_t start_checkpoint = kReplayFromStart;

@@ -343,43 +343,31 @@ TEST(MemberSlabTest, SplitsCarveAndMergesCoalesceConsistently) {
   EXPECT_TRUE(system.check().ok);
 }
 
-TEST(MemberSlabTest, LayoutIsBitIdenticalAcrossShardsAndResolveModes) {
+TEST(MemberSlabTest, LayoutIsBitIdenticalAcrossShards) {
   // The tentpole determinism contract: the extent table — not just the
-  // partition — is identical across shards {1, 4, 8} x all ResolveModes,
-  // because the pool is only reshaped at sequential points and the spill
-  // set is shard-independent.
+  // partition — is identical across shards {1, 4, 8}, because the pool is
+  // only reshaped at sequential points and the spill set is
+  // shard-independent.
   constexpr std::size_t kShardAxis[] = {1, 4, 8};
-  constexpr ResolveMode kModes[] = {ResolveMode::kAuto,
-                                    ResolveMode::kOptimistic,
-                                    ResolveMode::kSequential};
   std::vector<std::unique_ptr<Metrics>> metrics;
   std::vector<std::unique_ptr<NowSystem>> systems;
   std::vector<Rng> victim_rngs;
-  std::vector<std::string> contexts;
-  std::vector<std::size_t> shard_of;
-  for (const ResolveMode mode : kModes) {
-    for (const std::size_t shards : kShardAxis) {
-      NowParams p = slab_params();
-      p.resolve_mode = mode;
-      metrics.push_back(std::make_unique<Metrics>());
-      systems.push_back(
-          std::make_unique<NowSystem>(p, *metrics.back(), 61));
-      systems.back()->initialize(900, 90, InitTopology::kModeledSparse);
-      victim_rngs.emplace_back(61 ^ 99);
-      contexts.push_back("mode " + std::to_string(static_cast<int>(mode)) +
-                         " shards " + std::to_string(shards));
-      shard_of.push_back(shards);
-    }
+  for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
+    metrics.push_back(std::make_unique<Metrics>());
+    systems.push_back(
+        std::make_unique<NowSystem>(slab_params(), *metrics.back(), 61));
+    systems.back()->initialize(900, 90, InitTopology::kModeledSparse);
+    victim_rngs.emplace_back(61 ^ 99);
   }
   for (int round = 0; round < 4; ++round) {
     for (std::size_t v = 0; v < systems.size(); ++v) {
-      drive_batch(*systems[v], victim_rngs[v], shard_of[v]);
+      drive_batch(*systems[v], victim_rngs[v], kShardAxis[v]);
     }
     const SlabSignature reference = slab_signature(systems[0]->state());
     for (std::size_t v = 1; v < systems.size(); ++v) {
       ASSERT_EQ(slab_signature(systems[v]->state()), reference)
-          << contexts[v] << " diverged from " << contexts[0] << " in round "
-          << round;
+          << "shards " << kShardAxis[v] << " diverged from shards "
+          << kShardAxis[0] << " in round " << round;
     }
   }
   for (const auto& system : systems) {
@@ -392,8 +380,7 @@ TEST(MemberSlabTest, ForcedCompactionMidScenarioIsUnobservable) {
   // Gap bytes and dead space are dead: force-compacting one of two
   // identical systems mid-run must not change anything RNG-observable —
   // joins, costs, partitions, homes — even though the extent tables now
-  // differ. (Conflict footprints key on slab positions, but every position
-  // a batch compares is computed from the same start-of-batch layout.)
+  // differ.
   constexpr std::size_t kShards = 4;
   Metrics ma;
   Metrics mb;

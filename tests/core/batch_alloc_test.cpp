@@ -1,24 +1,20 @@
 // Allocation-regression guard for the sharded batch engine (DESIGN.md §11).
 //
 // The engine's per-batch scratch is epoch-stamped and geometrically grown,
-// so a steady-state batch must do (a) no work proportional to the slab tail
-// or the slot count and (b) no allocation traffic that scales with the
-// deployment size. Both properties are asserted here directly:
-//   * a counting global operator new measures allocations per batch at two
-//     deployment sizes 4x apart — the counts must be about the same (the
-//     residual constant-per-batch traffic: std::function spill in
-//     parallel_for, amortized Metrics sample growth);
-//   * the optimistic commit's footprint array capacity (the old per-batch
-//     `foot.resize(slab.tail(), 0)` sweep) must change only O(log) times
-//     over a long run — geometric growth, never per-batch work.
+// so a steady-state batch must do no allocation traffic that scales with
+// the deployment size. A counting global operator new measures allocations
+// per batch at two deployment sizes 4x apart — the counts must be about
+// the same (the residual constant-per-batch traffic: std::function spill
+// in parallel_for, amortized Metrics sample growth). A growth-heavy run
+// checks the same per-batch constant while the slab tail more than doubles.
 // This file deliberately gets its own test binary (one per *_test.cpp), so
 // the operator new replacement cannot leak into other suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <set>
 #include <vector>
 
 #include "core/now.hpp"
@@ -99,31 +95,36 @@ TEST(BatchAllocTest, SteadyStateAllocationsAreSizeIndependent) {
   EXPECT_LT(large_rate, 512.0);
 }
 
-TEST(BatchAllocTest, FootprintArrayGrowsGeometricallyNotPerBatch) {
+TEST(BatchAllocTest, GrowthHeavyChurnAllocationsStayPerBatchConstant) {
+  // Growth-heavy churn (five joins per leave) more than doubles the slab
+  // tail and keeps splitting clusters, so the per-slot scratch has to grow
+  // along the way. Geometric growth keeps that to rare amortized events:
+  // no batch after the first may allocate anything like once per node
+  // (the tail ends past 20k).
   Metrics metrics;
-  // Force the optimistic resolve so the footprint array is actually in
-  // play, whatever the host's core count.
-  NowParams params = alloc_params();
-  params.resolve_mode = ResolveMode::kOptimistic;
-  NowSystem system(params, metrics, 73);
+  NowSystem system(alloc_params(), metrics, 73);
   system.initialize(8000, 0, InitTopology::kModeledSparse);
   Rng victim_rng{7};
+  const std::size_t initial_tail = system.state().member_slab().tail();
 
-  // Growth-heavy churn (more joins than leaves) keeps the slab tail
-  // advancing; the footprint capacity must still change only rarely.
-  std::set<std::size_t> capacities;
   constexpr std::size_t kBatches = 48;
+  std::uint64_t worst = 0;
+  std::uint64_t total = 0;
   for (std::size_t b = 0; b < kBatches; ++b) {
     const auto leaves = system.state().sample_distinct_nodes(victim_rng, 16);
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
     (void)system.step_parallel_mixed(80, 0, leaves, kShards);
-    capacities.insert(system.debug_foot_capacity());
+    const std::uint64_t allocs =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    if (b == 0) continue;  // cold scratch: first-touch sizing
+    worst = std::max(worst, allocs);
+    total += allocs;
   }
-  EXPECT_LE(capacities.size(), 8u)
-      << "footprint capacity changed nearly every batch - geometric "
-         "growth regressed to per-batch resizing";
-  // The capacity covers the slab tail (the conflict footprints key on slab
-  // positions), with the doubling headroom on top.
-  EXPECT_GE(system.debug_foot_capacity(), system.state().member_slab().tail());
+  ASSERT_GE(system.state().member_slab().tail(), 2 * initial_tail)
+      << "the churn no longer exercises slab growth";
+  EXPECT_LT(static_cast<double>(total) / (kBatches - 1), 512.0);
+  EXPECT_LT(worst, 1024u) << "a batch allocated per node";
+  EXPECT_TRUE(system.check().ok);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ TEST(CoverageTest, CoverageReportSerializesTheFleet) {
   write_coverage_report(fleet, os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"distinct_cells\": 2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"total_config_cells\": 288"), std::string::npos);
+  EXPECT_NE(json.find("\"total_config_cells\": 96"), std::string::npos);
   EXPECT_NE(json.find("\"cells\": ["), std::string::npos);
 }
 
@@ -168,17 +168,14 @@ TEST(CoverageTest, GeneratedCorpusStratifiesTheBehaviorAxes) {
   std::set<core::MergePolicy> merges;
   std::set<core::ThresholdMode> thresholds;
   std::set<core::WalkMode> walks;
-  std::set<core::ResolveMode> resolves;
   for (const CorpusCase& c : cases) {
     merges.insert(c.config.params.merge_policy);
     thresholds.insert(c.config.params.threshold_mode);
     walks.insert(c.config.params.walk_mode);
-    resolves.insert(c.config.params.resolve_mode);
   }
   EXPECT_EQ(merges.size(), 2u);
   EXPECT_EQ(thresholds.size(), 2u);
   EXPECT_EQ(walks.size(), 2u);
-  EXPECT_EQ(resolves.size(), 3u);
 
   // Case 0 records through the legacy v1 writer; the rest are v2.
   EXPECT_EQ(trace_info(dir + "/" + cases[0].trace_file).version, 1u);
