@@ -16,10 +16,11 @@
 namespace now {
 namespace {
 
-/// The --shards axis: batched maintenance throughput of the sharded engine
-/// (DESIGN.md §7) against the sequential baseline, at a fixed network size.
-/// Emits one BENCH row per shard count: op = "batch[shards=K]", with the
-/// mean messages/rounds of one batch and the wall time per join+leave pair.
+/// The --shards axis: batched maintenance throughput of the batch engine
+/// (DESIGN.md §7) at a fixed network size. Emits one BENCH row per shard
+/// count: op = "batch[shards=K]", with the mean messages/rounds of one
+/// batch and the wall time per join+leave pair. The shard count never
+/// changes results, so every row's messages/rounds/waves are equal.
 void run_shards_axis(bench::JsonEmitter& json,
                      const std::vector<std::size_t>& shard_axis) {
   constexpr std::size_t kNodes = 20000;
@@ -27,8 +28,8 @@ void run_shards_axis(bench::JsonEmitter& json,
   constexpr int kSteps = 4;
   std::cout << "\nSharded batch stepping (n = " << kNodes << ", batch = "
             << kBatch << " joins + " << kBatch << " leaves):\n";
-  sim::Table table({"shards", "engine", "mean_batch_msgs", "batch_rounds",
-                    "waves", "wall_us_per_pair"});
+  sim::Table table({"shards", "mean_batch_msgs", "batch_rounds", "waves",
+                    "wall_us_per_pair"});
   for (const std::size_t shards : shard_axis) {
     core::NowParams params;
     params.max_size = 1 << 16;
@@ -48,7 +49,7 @@ void run_shards_axis(bench::JsonEmitter& json,
       core::OpReport report;
       wall_ns += bench::time_ns([&] {
         auto [joined, r] =
-            system.step_parallel(kBatch, victims, false, shards);
+            system.step_parallel_mixed(kBatch, 0, victims, shards);
         report = std::move(r);
       });
       messages += static_cast<double>(report.cost.messages);
@@ -60,15 +61,13 @@ void run_shards_axis(bench::JsonEmitter& json,
     waves /= kSteps;
     const double per_pair = wall_ns / (kSteps * kBatch);
     table.add_row({sim::Table::fmt(std::uint64_t{shards}),
-                   shards <= 1 ? "sequential" : "sharded",
                    sim::Table::fmt(messages, 0), sim::Table::fmt(rounds, 0),
                    sim::Table::fmt(waves, 0),
                    sim::Table::fmt(per_pair / 1000.0, 1)});
     std::ostringstream op;
     op << "batch[shards=" << shards << "]";
     json.add(op.str(), kNodes, messages, rounds, per_pair);
-    // The wave scheduler's dedup quantity: exchange waves per batch (the
-    // sequential engine reports 0 — it exchanges per operation instead).
+    // The wave scheduler's dedup quantity: exchange waves per batch.
     std::ostringstream wave_op;
     wave_op << "wave_count[shards=" << shards << "]";
     json.add_scalar(wave_op.str(), kNodes, waves);
@@ -191,7 +190,7 @@ void run(const std::vector<std::size_t>& shard_axis) {
 
 int main(int argc, char** argv) {
   // --shards=K1,K2,... selects the shard counts of the batched-throughput
-  // axis; 1 is the sequential engine, >= 2 the sharded plan/commit engine.
+  // axis (a wall-clock setting only: every count runs the same engine).
   std::vector<std::size_t> shard_axis = {1, 2, 4};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);

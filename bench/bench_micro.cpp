@@ -161,16 +161,15 @@ BENCHMARK(BM_ExchangeAll);
 /// Join/leave churn at size n — the hot maintenance path whose per-op
 /// wall-clock cost gates how large a deployment the simulator can step.
 ///
-/// The second argument is the --shards axis: shards = 1 drives the legacy
-/// sequential engine one operation at a time (the pre-sharding trajectory
-/// baseline); shards >= 2 drives batches of kShardedBatch joins + leaves
-/// through the sharded plan/commit engine. Time is reported per
-/// join + leave pair in both modes so the BENCH_micro.json rows stay
-/// comparable across engines and PRs.
+/// The second argument is the --shards axis: every count drives batches of
+/// kBatch joins + leaves through the same batch engine, so the /n/1 rows
+/// are the one-shard baseline a speedup curve divides by. Time is reported
+/// per join + leave pair so the BENCH_micro.json rows stay comparable
+/// across shard counts and PRs.
 void BM_JoinLeaveCycle(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kShardedBatch = 32;
+  constexpr std::size_t kBatch = 32;
   core::NowParams params;
   params.max_size = std::max<std::uint64_t>(std::uint64_t{1} << 12,
                                             std::bit_ceil(2 * n));
@@ -178,19 +177,6 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
   Metrics metrics;
   core::NowSystem system{params, metrics, 9};
   system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
-  if (shards <= 1) {
-    for (auto _ : state) {
-      const auto start = std::chrono::steady_clock::now();
-      const auto [node, report] = system.join(false);
-      benchmark::DoNotOptimize(report.cost.messages);
-      system.leave(node);
-      state.SetIterationTime(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-    }
-    return;
-  }
   double commit_ns = 0;
   double plan_ns = 0;
   double resolve_ns = 0;
@@ -200,16 +186,16 @@ void BM_JoinLeaveCycle(benchmark::State& state) {
   std::size_t batches = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] =
-        system.step_parallel(kShardedBatch, {}, false, shards);
+    const auto [joined, up] = system.step_parallel_mixed(kBatch, 0, {}, shards);
     benchmark::DoNotOptimize(up.cost.messages);
-    const auto [unused, down] = system.step_parallel(0, joined, false, shards);
+    const auto [unused, down] =
+        system.step_parallel_mixed(0, 0, joined, shards);
     benchmark::DoNotOptimize(down.cost.messages);
     state.SetIterationTime(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count() /
-        static_cast<double>(kShardedBatch));
+        static_cast<double>(kBatch));
     commit_ns += static_cast<double>(up.commit_ns + down.commit_ns);
     plan_ns += static_cast<double>(up.plan_ns + down.plan_ns);
     resolve_ns += static_cast<double>(up.resolve_ns + down.resolve_ns);
@@ -244,7 +230,7 @@ BENCHMARK(BM_JoinLeaveCycle)
     ->Args({200000, 1})
     ->Args({200000, 4});
 
-/// BM_JoinLeaveCycle's sharded body with the telemetry layer switched ON
+/// BM_JoinLeaveCycle's body with the telemetry layer switched ON
 /// (spans recorded, counters incremented) — the obs-overhead guard row.
 /// scripts/check_bench.py compares it against BM_JoinLeaveCycle/100000/4
 /// (same work, telemetry off) and warns when the hooks cost more than the
@@ -253,7 +239,7 @@ BENCHMARK(BM_JoinLeaveCycle)
 void BM_JoinLeaveCycleObs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kShardedBatch = 32;
+  constexpr std::size_t kBatch = 32;
   core::NowParams params;
   params.max_size = std::max<std::uint64_t>(std::uint64_t{1} << 12,
                                             std::bit_ceil(2 * n));
@@ -264,16 +250,16 @@ void BM_JoinLeaveCycleObs(benchmark::State& state) {
   obs::set_enabled(true);
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] =
-        system.step_parallel(kShardedBatch, {}, false, shards);
+    const auto [joined, up] = system.step_parallel_mixed(kBatch, 0, {}, shards);
     benchmark::DoNotOptimize(up.cost.messages);
-    const auto [unused, down] = system.step_parallel(0, joined, false, shards);
+    const auto [unused, down] =
+        system.step_parallel_mixed(0, 0, joined, shards);
     benchmark::DoNotOptimize(down.cost.messages);
     state.SetIterationTime(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count() /
-        static_cast<double>(kShardedBatch));
+        static_cast<double>(kBatch));
   }
   obs::set_enabled(false);
   obs::SpanRecorder::instance().reset();
@@ -331,9 +317,11 @@ void BM_HugeBatch(benchmark::State& state) {
   std::size_t batches = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] = system.step_parallel(kBatch, {}, false, kShards);
+    const auto [joined, up] =
+        system.step_parallel_mixed(kBatch, 0, {}, kShards);
     benchmark::DoNotOptimize(up.cost.messages);
-    const auto [unused, down] = system.step_parallel(0, joined, false, kShards);
+    const auto [unused, down] =
+        system.step_parallel_mixed(0, 0, joined, kShards);
     benchmark::DoNotOptimize(down.cost.messages);
     state.SetIterationTime(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -11,8 +11,8 @@
 // Layout determinism contract: the extent table (and therefore every slab
 // position) must be bit-identical across shard counts. That holds
 // because the pool is only ever reshaped at sequential points:
-//   * insert_sorted / erase_sorted / assign — the sequential engine and the
-//     stage-2 split/merge/spill paths;
+//   * insert_sorted / erase_sorted / assign — sequential join()/leave() and
+//     the stage-2 split/merge/spill paths;
 //   * compact() — triggered by a fixed threshold on (tail_, live_), both of
 //     which evolve through the same canonical mutation sequence everywhere
 //     (try_assign adjusts live_ with a relaxed atomic add, an

@@ -601,41 +601,6 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
   return report;
 }
 
-std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel(
-    std::size_t joins, const std::vector<NodeId>& leaves,
-    bool byzantine_joiners, std::size_t shards) {
-  assert(initialized_);
-  if (shards > 1) {
-    return step_parallel_sharded(joins, leaves, byzantine_joiners, shards);
-  }
-
-  OpScope scope(metrics_, "batch");
-  OpReport combined;
-  std::vector<NodeId> joined;
-  joined.reserve(joins);
-
-  std::uint64_t rounds_max = 0;
-  for (std::size_t i = 0; i < joins; ++i) {
-    const auto [node, report] = join(byzantine_joiners);
-    joined.push_back(node);
-    combined.splits += report.splits;
-    combined.merges += report.merges;
-    combined.rejoins += report.rejoins;
-    rounds_max = std::max(rounds_max, report.cost.rounds);
-  }
-  for (const NodeId node : leaves) {
-    const auto report = leave(node);
-    combined.splits += report.splits;
-    combined.merges += report.merges;
-    combined.rejoins += report.rejoins;
-    rounds_max = std::max(rounds_max, report.cost.rounds);
-  }
-
-  combined.cost = scope.cost();
-  combined.cost.rounds = rounds_max;  // parallel in time: max, not sum
-  return {std::move(joined), combined};
-}
-
 ThreadPool& NowSystem::pool_for(std::size_t shards) {
   const std::size_t hardware = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency()));
@@ -644,13 +609,6 @@ ThreadPool& NowSystem::pool_for(std::size_t shards) {
     pool_ = std::make_unique<ThreadPool>(wanted);
   }
   return *pool_;
-}
-
-std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_sharded(
-    std::size_t joins, const std::vector<NodeId>& leaves,
-    bool byzantine_joiners, std::size_t shards) {
-  return step_parallel_mixed(joins, byzantine_joiners ? joins : 0, leaves,
-                             shards);
 }
 
 std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
@@ -682,7 +640,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   }
 
   // --- Snapshot aggregates: the persistent PlanCache is rebuilt only after
-  // structural changes (splits/merges, legacy sequential operations);
+  // structural changes (splits/merges, sequential join()/leave());
   // otherwise the previous commits' incremental maintenance kept it exact
   // and only the cheap derived quantities (walk cost model, flat snapshot
   // offsets) refresh, O(k) with a trivial constant instead of the full
@@ -785,7 +743,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       const std::size_t slot = bs.op_slot[i];
       if (bs.wave_of(slot) == kNoWave) {
         // A cluster whose every snapshot member is leaving has nobody left
-        // to shuffle; skip its wave (mirrors the sequential engine's
+        // to shuffle; skip its wave (mirrors the sequential leave()'s
         // size > 1 guard on the post-removal exchange).
         if (snapshot.member_slab().size(slot) <= bs.leavers_of(slot).size()) {
           continue;
@@ -1253,7 +1211,7 @@ std::uint64_t NowSystem::place_node(NodeId node, OpReport& report) {
 std::pair<NodeId, OpReport> NowSystem::join(bool byzantine_node) {
   assert(initialized_);
   OpScope scope(metrics_, "join");
-  batch_->cache.invalidate();  // legacy path mutates outside the commit
+  batch_->cache.invalidate();  // mutates outside the batch commit
   OpReport report;
 
   const NodeId node = state_.fresh_node_id();
@@ -1271,7 +1229,7 @@ OpReport NowSystem::leave(NodeId node) {
   assert(initialized_);
   if (trace_sink_ != nullptr) trace_sink_->on_leave(node);
   OpScope scope(metrics_, "leave");
-  batch_->cache.invalidate();  // legacy path mutates outside the commit
+  batch_->cache.invalidate();  // mutates outside the batch commit
   OpReport report;
 
   const ClusterId c = state_.home_of(node);

@@ -58,41 +58,41 @@ struct InitReport {
 };
 
 /// Outcome of one maintenance operation (join or leave plus everything it
-/// induced). Batched steps reuse the same report; the sharded engine
-/// additionally fills the per-shard accounting fields.
+/// induced). Batched steps (step_parallel_mixed) reuse the same report and
+/// additionally fill the batch-only fields below.
 struct OpReport {
   Cost cost;
   std::size_t splits = 0;
   std::size_t merges = 0;
   std::size_t rejoins = 0;
 
-  /// Sharded batches only: planned swaps dropped at commit — the
+  /// Batches only: planned swaps dropped at commit — the
   /// cross-shard serialization point. Stale swaps are normally reconciled
   /// (applied at the nodes' *current* homes); a drop happens only when one
   /// of the two nodes left in this batch or both ended up in one cluster.
   std::size_t conflicts = 0;
-  /// Sharded batches only: swaps that missed the resolve's planned-slot
+  /// Batches only: swaps that missed the resolve's planned-slot
   /// fast path (an earlier move of this batch relocated or removed an
   /// endpoint) and were re-resolved at the nodes' then-current homes.
   /// Includes every dropped swap (`conflicts`). Deterministic — identical
   /// for every shard count.
   std::size_t resolve_replays = 0;
-  /// Sharded batches only: each shard's planning-phase cost (messages are
+  /// Batches only: each shard's planning-phase cost (messages are
   /// exact; rounds are the shard's sequential sum, the batch's round count
   /// below combines per-op rounds by max). Sums to cost - commit_cost.
   std::vector<Cost> shard_costs;
-  /// Sharded batches only: protocol cost of the commit phase (the deferred
+  /// Batches only: protocol cost of the commit phase (the deferred
   /// splits/merges; the membership moves themselves were charged while
   /// planning).
   Cost commit_cost;
-  /// Sharded batches only: slots whose stage-1 merged membership outgrew
+  /// Batches only: slots whose stage-1 merged membership outgrew
   /// their slab extent and were re-homed by the sequential stage-2 commit
   /// (MemberSlab::try_apply_edits returned false). Shard-independent — the
   /// spill set depends only on the canonical per-slot edits and the extent
   /// caps. The coverage-guided corpus (sim/corpus.hpp) treats "a spill
   /// happened" as an observed-behavior bit.
   std::size_t stage2_spills = 0;
-  /// Sharded batches only: exchange waves the wave scheduler ran this step
+  /// Batches only: exchange waves the wave scheduler ran this step
   /// (primary waves on clusters touched by an operation, plus the deduped
   /// secondary waves on their leave-wave partners). Each touched cluster
   /// shuffles exactly once per time step, however many batch operations
@@ -102,22 +102,22 @@ struct OpReport {
   // (obs/obs.hpp): each batch phase opens a ScopedSpan that writes its
   // duration here and, when recording is enabled, into the trace ring.
   // With NOW_OBS=OFF they read 0 (telemetry product, not protocol state).
-  /// Sharded batches only: wall-clock nanoseconds of the commit phase
+  /// Batches only: wall-clock nanoseconds of the commit phase
   /// (resolve + stage-1 parallel apply + stage-2 merge and restructuring)
   /// — the quantity BENCH_micro.json tracks as commit_ns.
   std::uint64_t commit_ns = 0;
-  /// Sharded batches only: wall-clock nanoseconds of the plan phase
+  /// Batches only: wall-clock nanoseconds of the plan phase
   /// (partition + per-op planning + both wave tiers + metrics merge).
   /// plan_ns + commit_ns covers the batch except for trace/setup glue;
   /// resolve/stage1/stage2 below partition commit_ns.
   std::uint64_t plan_ns = 0;
-  /// Sharded batches only: wall-clock nanoseconds of the commit's resolve
+  /// Batches only: wall-clock nanoseconds of the commit's resolve
   /// passes (sequential op edits + swap resolution).
   std::uint64_t resolve_ns = 0;
-  /// Sharded batches only: wall-clock nanoseconds of the stage-1 parallel
+  /// Batches only: wall-clock nanoseconds of the stage-1 parallel
   /// member-edit apply.
   std::uint64_t stage1_ns = 0;
-  /// Sharded batches only: wall-clock nanoseconds of stage 2 (spill
+  /// Batches only: wall-clock nanoseconds of stage 2 (spill
   /// re-homing, Fenwick delta merge, deferred splits/merges, compaction
   /// check and cache maintenance).
   std::uint64_t stage2_ns = 0;
@@ -144,7 +144,7 @@ class TraceSink {
   virtual void on_join(NodeId node, bool byzantine) = 0;
   /// A sequential leave of `node` is about to run.
   virtual void on_leave(NodeId node) = 0;
-  /// A sharded batch is about to run with these exact inputs.
+  /// A step_parallel_mixed batch is about to run with these exact inputs.
   virtual void on_batch(std::size_t joins, std::size_t byzantine_joins,
                         const std::vector<NodeId>& leaves,
                         std::size_t shards) = 0;
@@ -175,51 +175,37 @@ class NowSystem {
 
   /// Several joins and leaves executed within ONE time step (the paper's
   /// footnote *: "the analysis can be generalized to several parallel join
-  /// and leave operations"). State effects apply sequentially (the protocol
-  /// serializes conflicting cluster updates), but the operations overlap in
-  /// time, so the batch's round count is the max — not the sum — of the
-  /// individual operations'. Returns the ids of the joined nodes plus the
-  /// combined report. Leave targets must be live and distinct.
+  /// and leave operations") — the batch engine (DESIGN.md §7). The first
+  /// `byzantine_joins` of the `joins` joiners are corrupted, the rest are
+  /// honest (the batched join-leave attack corrupts a tau fraction of each
+  /// wave of joiners rather than all or none); byzantine_joins must not
+  /// exceed joins. Leave targets must be live and distinct. Returns the ids
+  /// of the joined nodes plus the combined report.
   ///
-  /// `shards <= 1` runs the historical sequential engine (bit-compatible
-  /// with the pre-sharding implementation — the tier-1 fixed-seed tests and
-  /// the pre-PR BENCH trajectory key off this path). `shards >= 2` routes to
-  /// step_parallel_sharded below.
-  std::pair<std::vector<NodeId>, OpReport> step_parallel(
-      std::size_t joins, const std::vector<NodeId>& leaves,
-      bool byzantine_joiners = false, std::size_t shards = 1);
-
-  /// The sharded batch engine (DESIGN.md §7). Operations are partitioned by
-  /// home-cluster slot modulo `shards` and *planned* concurrently on a small
-  /// thread pool against the frozen start-of-step state — each operation
-  /// draws from its own RNG stream Rng::derive_stream(seed, batch, op) and
-  /// charges a per-shard Metrics. Secondary to the operations, a per-step
-  /// WAVE SCHEDULER collects the set of clusters the batch touched and runs
-  /// exactly one full exchange wave per cluster per time step (the paper's
-  /// semantics — a cluster shuffles all of its nodes once), each wave on its
-  /// own derived stream; waves induced by a leave additionally schedule one
-  /// deduplicated secondary wave per partner cluster. Planning reads the
-  /// persistent PlanCache (core/plan_cache.hpp), maintained incrementally
-  /// across batches. Commit resolves every planned move sequentially in
-  /// canonical order at the nodes' current homes. Stage 1 then applies the
+  /// Operations are partitioned by home-cluster slot modulo `shards` and
+  /// *planned* concurrently on a small thread pool against the frozen
+  /// start-of-step state — each operation draws from its own RNG stream
+  /// Rng::derive_stream(seed, batch, op) and charges a per-shard Metrics.
+  /// Secondary to the operations, a per-step WAVE SCHEDULER collects the
+  /// set of clusters the batch touched and runs exactly one full exchange
+  /// wave per cluster per time step (the paper's semantics — a cluster
+  /// shuffles all of its nodes once), each wave on its own derived stream;
+  /// waves induced by a leave additionally schedule one deduplicated
+  /// secondary wave per partner cluster. Planning reads the persistent
+  /// PlanCache (core/plan_cache.hpp), maintained incrementally across
+  /// batches. Commit resolves every planned move sequentially in canonical
+  /// order at the nodes' current homes. Stage 1 then applies the
   /// per-cluster member edits shard-parallel against contiguous slot
   /// blocks, and stage 2 merges the per-shard size deltas into the Fenwick
-  /// mirror and runs the deferred splits/merges sequentially. Because
+  /// mirror and runs the deferred splits/merges sequentially.
+  ///
+  /// The operations overlap in time, so the batch's round count is the max
+  /// over the operations plus the max over each wave tier plus the
+  /// commit's restructuring rounds — not the sum over operations. Because
   /// plans depend only on the snapshot and per-op/per-wave streams, the
   /// wave list is canonical, and the resolve runs in canonical order, the
-  /// resulting state is IDENTICAL for every shard count (shards = 1
-  /// included); the shard count only changes wall-clock. This entry point always uses the sharded engine, so
-  /// `shards = 1` here is the equivalence baseline, while
-  /// step_parallel(..., shards = 1) is the legacy sequential engine.
-  std::pair<std::vector<NodeId>, OpReport> step_parallel_sharded(
-      std::size_t joins, const std::vector<NodeId>& leaves,
-      bool byzantine_joiners, std::size_t shards);
-
-  /// Generalization of step_parallel_sharded for adversarial batches: the
-  /// first `byzantine_joins` of the `joins` joiners are corrupted, the rest
-  /// are honest (the batched join-leave attack corrupts a tau fraction of
-  /// each wave of joiners rather than all or none). byzantine_joins must
-  /// not exceed joins. The bool entry points above delegate here.
+  /// resulting state is IDENTICAL for every shard count; `shards` (0 is
+  /// read as 1) only changes wall-clock.
   std::pair<std::vector<NodeId>, OpReport> step_parallel_mixed(
       std::size_t joins, std::size_t byzantine_joins,
       const std::vector<NodeId>& leaves, std::size_t shards);
@@ -247,10 +233,10 @@ class NowSystem {
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Drops the persistent PlanCache; the next sharded batch rebuilds it
-  /// from scratch. The cache is maintained incrementally and invalidated
-  /// automatically on every structural change (split/merge, legacy
-  /// sequential operations), so this hook exists for tests and benches
+  /// Drops the persistent PlanCache; the next batch rebuilds it from
+  /// scratch. The cache is maintained incrementally and invalidated
+  /// automatically on every structural change (split/merge, sequential
+  /// join()/leave()), so this hook exists for tests and benches
   /// that want to time or compare the full-rebuild path.
   void invalidate_plan_cache();
 

@@ -1,5 +1,5 @@
 // PlanCache — the frozen-snapshot aggregates shared read-only by every
-// planner thread of the sharded batch engine (DESIGN.md §7), now a
+// planner thread of the batch engine (DESIGN.md §7), now a
 // PERSISTENT, incrementally maintained structure instead of a per-batch
 // O(k) rebuild.
 //
@@ -20,7 +20,7 @@
 //     neighborhood populations are patched through the overlay adjacency
 //     and the alias sampler absorbs the change via a dirty overlay (below);
 //   * invalidate() — any structural mutation (split/merge/create/destroy,
-//     overlay rewiring, or a legacy sequential operation) throws the cache
+//     overlay rewiring, or a sequential join()/leave()) throws the cache
 //     away; the next batch rebuilds.
 //
 // Incremental alias sampling. A Vose alias table cannot absorb point

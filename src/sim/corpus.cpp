@@ -9,6 +9,7 @@
 
 #include "adversary/adversary.hpp"
 #include "adversary/schedule.hpp"
+#include "sim/trace.hpp"
 
 namespace now::sim {
 
@@ -286,9 +287,6 @@ std::vector<CorpusCase> generate_corpus(const CorpusAxes& axes,
     if (c.config.params.walk_mode == core::WalkMode::kSimulate) {
       c.config.n0 = std::min<std::size_t>(c.config.n0, 350);
     }
-    // Case 0 exercises the legacy v1 writer: backward-compat replay
-    // coverage stays a regenerable artifact rather than a frozen binary.
-    c.config.trace_format = i == 0 ? 1 : 0;
     std::string suffix = std::to_string(i);
     while (suffix.size() < 3) suffix.insert(suffix.begin(), '0');
     c.name = "corpus_" + suffix;
@@ -320,7 +318,7 @@ void write_corpus_manifest(const std::vector<CorpusCase>& cases,
         "cell_key\tsteps\tn0\tseed\tbatch_ops\tshards\n";
   for (const CorpusCase& c : cases) {
     os << c.name << '\t' << c.trace_file << '\t'
-       << (c.config.trace_format == 1 ? 1 : 2) << '\t'
+       << kTraceFormatVersion << '\t'
        << failure_kind_name(c.failure) << '\t' << c.shrink_rounds << '\t'
        << c.signature.key() << '\t' << c.signature.cell_key() << '\t'
        << c.config.steps << '\t' << c.config.n0 << '\t' << c.config.seed

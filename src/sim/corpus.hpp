@@ -184,9 +184,7 @@ ScenarioResult run_corpus_scenario(ScenarioConfig config,
 /// describing every case. Deterministic in axes.master_seed. The discrete
 /// behavior axes are STRATIFIED across the cases (case i takes merge
 /// policy i % 2, threshold mode (i / 2) % 2, walk mode (i / 4) % 2, ...)
-/// so a default-sized corpus covers each axis value at least once; case 0
-/// is recorded in the legacy v1 trace format so backward-compat replay
-/// coverage is itself a regenerable artifact.
+/// so a default-sized corpus covers each axis value at least once.
 std::vector<CorpusCase> generate_corpus(const CorpusAxes& axes,
                                         const std::string& out_dir);
 

@@ -282,8 +282,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
             system.state().sample_distinct_nodes(driver_rng, ops);
         const auto report =
             system
-                .step_parallel(ops, victims,
-                               /*byzantine_joiners=*/false, config.shards)
+                .step_parallel_mixed(ops, /*byzantine_joins=*/0, victims,
+                                     config.shards)
                 .second;
         result.total_resolve_replays += report.resolve_replays;
         result.total_stage2_spills += report.stage2_spills;
@@ -292,8 +292,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
       adversary.step(system, t, driver_rng);
     }
     if (t % config.sample_every == 0 || t == config.steps) sample_now(t);
-    if (recorder != nullptr && config.trace_format == 0 &&
-        t % trace_ckpt_every == 0 && t != config.steps) {
+    if (recorder != nullptr && t % trace_ckpt_every == 0 &&
+        t != config.steps) {
       // Embed a full system snapshot plus the run's partial aggregates, so
       // a replay seeked here can reproduce the end summary exactly.
       recorder->record_checkpoint(

@@ -39,10 +39,12 @@ struct ScenarioConfig {
   std::uint64_t seed = 42;
 
   /// Batched churn mode: when batch_ops > 0 each time step performs
-  /// batch_ops joins plus batch_ops leaves through NowSystem::step_parallel
-  /// (sharded when shards > 1) instead of delegating the step to the
-  /// adversary — the high-throughput regime the sharded engine exists for.
+  /// batch_ops joins plus batch_ops leaves through
+  /// NowSystem::step_parallel_mixed instead of delegating the step to the
+  /// adversary — the high-throughput regime the batch engine exists for.
   /// Size holds constant. Joiners are honest unless batch_byz_fraction > 0.
+  /// `shards` is a wall-clock setting only: results are identical for
+  /// every value.
   std::size_t batch_ops = 0;
   std::size_t shards = 1;
 
@@ -91,11 +93,6 @@ struct ScenarioConfig {
   /// O(log steps) divergence bisection (trace_checkpoints / bisect_trace).
   /// 0 picks an automatic cadence (~8 checkpoints across the horizon).
   std::size_t trace_checkpoint_every = 0;
-  /// Trace format to record: 0 = current (v2, seekable), 1 = legacy v1
-  /// (header + events only, no embedded checkpoints, no footer). The v1
-  /// writer exists so backward-compat coverage — old traces must keep
-  /// replaying green — is itself a recorded, regenerable artifact.
-  std::uint32_t trace_format = 0;
 };
 
 struct InvariantSample {
@@ -144,10 +141,10 @@ struct ScenarioResult {
   // engine paths a run exercised, not the trajectory itself, and adding
   // them there would break the v1 trace layout.
   /// Swaps that missed the resolve's planned-slot fast path
-  /// (OpReport::resolve_replays), summed over the run's sharded batches.
+  /// (OpReport::resolve_replays), summed over the run's batches.
   std::size_t total_resolve_replays = 0;
   /// Stage-1 slots spilled to the sequential stage-2 commit, summed over
-  /// the run's sharded batches.
+  /// the run's batches.
   std::size_t total_stage2_spills = 0;
   /// Membership-slab compactions triggered during the run.
   std::size_t total_compactions = 0;

@@ -67,8 +67,8 @@ void ShardSim::run_step() {
       std::min(spec_.batch_ops, live > 2 ? live - 2 : std::size_t{0});
   const auto victims =
       system_.state().sample_distinct_nodes(driver_rng_, ops);
-  (void)system_.step_parallel(ops, victims, /*byzantine_joiners=*/false,
-                              /*shards=*/1);
+  (void)system_.step_parallel_mixed(ops, /*byzantine_joins=*/0, victims,
+                                    /*shards=*/1);
   ++completed_;
 
   const auto inv = system_.check();

@@ -187,8 +187,7 @@ TraceFooter read_footer(core::SnapshotReader& r) {
 // ------------------------------------------------------------- recorder
 
 TraceRecorder::TraceRecorder(const ScenarioConfig& config, std::size_t n0,
-                             std::size_t byz0, std::string adversary_name)
-    : format_version_(config.trace_format == 1 ? 1 : kTraceFormatVersion) {
+                             std::size_t byz0, std::string adversary_name) {
   TraceHeader h;
   h.params = config.params;
   h.seed = config.seed;
@@ -243,7 +242,6 @@ void TraceRecorder::record_checkpoint(std::size_t step,
                                       std::size_t splits_so_far,
                                       std::size_t merges_so_far,
                                       const ScenarioResult& partial) {
-  if (format_version_ < 2) return;
   core::SnapshotWriter snap;
   core::save_system(system, snap);
   checkpoints_.emplace_back(step, writer_.buffer().size());
@@ -262,17 +260,15 @@ void TraceRecorder::finish(const ScenarioResult& result,
                            const std::string& path) {
   writer_.u8(kFrameEnd);
   write_summary(writer_, result);
-  if (format_version_ >= 2) {
-    const std::uint64_t footer_offset = writer_.buffer().size();
-    writer_.u32(kFooterMagic);
-    writer_.u64(checkpoints_.size());
-    for (const auto& [step, offset] : checkpoints_) {
-      writer_.u64(step);
-      writer_.u64(offset);
-    }
-    writer_.u64(footer_offset);
+  const std::uint64_t footer_offset = writer_.buffer().size();
+  writer_.u32(kFooterMagic);
+  writer_.u64(checkpoints_.size());
+  for (const auto& [step, offset] : checkpoints_) {
+    writer_.u64(step);
+    writer_.u64(offset);
   }
-  writer_.write_file(path, kTraceMagic, format_version_);
+  writer_.u64(footer_offset);
+  writer_.write_file(path, kTraceMagic, kTraceFormatVersion);
 }
 
 // ------------------------------------------------------------- replayer

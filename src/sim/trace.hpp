@@ -25,9 +25,8 @@
 // between samples — and bisect_trace binary-searches the checkpoint index
 // to localize a divergence with O(log steps) restores instead of an
 // O(steps) replay per hypothesis. v1 traces (header + events only) stay
-// readable forever; the v1 WRITER also stays available
-// (ScenarioConfig::trace_format = 1) so backward-compat coverage is a
-// regenerable artifact, not a frozen binary.
+// readable forever; the writer emits v2 only, and the checked-in v1
+// bench/corpus/corpus_000.trace is the backward-compat fixture.
 //
 // The same file also defines the scenario CHECKPOINT format — the system
 // snapshot (core/snapshot.hpp) wrapped with the scenario driver's own
@@ -49,12 +48,11 @@
 namespace now::sim {
 
 // Version rules (DESIGN.md §10): the reader accepts every version in
-// [kTraceMinReadVersion, kTraceFormatVersion]; the writer emits
-// kTraceFormatVersion unless ScenarioConfig::trace_format pins v1. The
-// header and event/sample/summary frame layouts are FROZEN across v1/v2 —
-// v2 only appends new frame kinds (checkpoint) and a footer — so one
-// replay loop serves both. Checkpoints embed a save_system payload and
-// follow every snapshot version bump.
+// [kTraceMinReadVersion, kTraceFormatVersion]; the writer always emits
+// kTraceFormatVersion. The header and event/sample/summary frame layouts
+// are FROZEN across v1/v2 — v2 only appends new frame kinds (checkpoint)
+// and a footer — so one replay loop serves both. Checkpoints embed a
+// save_system payload and follow every snapshot version bump.
 inline constexpr std::uint32_t kTraceFormatVersion = 2;
 inline constexpr std::uint32_t kTraceMinReadVersion = 1;
 inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
@@ -66,8 +64,7 @@ inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 class TraceRecorder final : public core::TraceSink {
  public:
   /// `n0` / `byz0` are the RESOLVED initialization inputs (after the
-  /// sqrt(N) and tau defaults were applied). config.trace_format == 1
-  /// selects the legacy v1 writer (no checkpoints, no footer).
+  /// sqrt(N) and tau defaults were applied).
   TraceRecorder(const ScenarioConfig& config, std::size_t n0,
                 std::size_t byz0, std::string adversary_name);
 
@@ -83,20 +80,19 @@ class TraceRecorder final : public core::TraceSink {
   /// Embeds a checkpoint frame: full system snapshot plus the run's
   /// partial aggregates (split/merge totals so far, peak fraction,
   /// compromise state), so a replay seeked here reproduces the end
-  /// summary exactly. No-op for the v1 writer. Call at a step boundary,
-  /// after the step's sample (if any) was recorded.
+  /// summary exactly. Call at a step boundary, after the step's sample
+  /// (if any) was recorded.
   void record_checkpoint(std::size_t step, const core::NowSystem& system,
                          std::size_t splits_so_far,
                          std::size_t merges_so_far,
                          const ScenarioResult& partial);
 
-  /// Appends the end-of-run summary (and, for v2, the checkpoint footer)
-  /// and writes the framed file.
+  /// Appends the end-of-run summary and the checkpoint footer and writes
+  /// the framed file.
   void finish(const ScenarioResult& result, const std::string& path);
 
  private:
   core::SnapshotWriter writer_;
-  std::uint32_t format_version_ = kTraceFormatVersion;
   /// (step, payload byte offset of the frame tag) per embedded checkpoint,
   /// in step order — becomes the footer.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> checkpoints_;

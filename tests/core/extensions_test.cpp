@@ -4,6 +4,12 @@
 // footnote-* parallel batch operations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <span>
+#include <string_view>
+#include <vector>
+
 #include "core/now.hpp"
 
 namespace now::core {
@@ -116,10 +122,41 @@ TEST(BatchTest, ParallelStepConservesNodes) {
     }
     leaves.push_back(victim);
   }
-  const auto [joined, report] = system.step_parallel(8, leaves);
+  const auto [joined, report] = system.step_parallel_mixed(8, 0, leaves, 1);
   EXPECT_EQ(joined.size(), 8u);
   EXPECT_EQ(system.num_nodes(), 400u + 8 - 5);
   EXPECT_TRUE(system.check().ok);
+}
+
+/// Max and sum of the rounds of a run of operation samples.
+struct RoundStats {
+  std::uint64_t max = 0, sum = 0;
+};
+
+RoundStats round_stats(std::span<const Cost> samples) {
+  RoundStats stats;
+  for (const Cost& sample : samples) {
+    stats.max = std::max(stats.max, sample.rounds);
+    stats.sum += sample.rounds;
+  }
+  return stats;
+}
+
+/// The last `count` samples recorded under `label`, in completion order.
+/// With one shard the batch engine records them in planning order: the
+/// operations first, then the primary waves, then the secondary waves.
+std::span<const Cost> last_samples(const Metrics& metrics,
+                                   std::string_view label,
+                                   std::size_t count) {
+  const auto samples = metrics.operation_samples(metrics.find(label));
+  EXPECT_GE(samples.size(), count) << label;
+  return samples.last(std::min(count, samples.size()));
+}
+
+std::uint64_t batch_messages(const OpReport& report) {
+  std::uint64_t messages = report.commit_cost.messages;
+  for (const Cost& shard : report.shard_costs) messages += shard.messages;
+  return messages;
 }
 
 TEST(BatchTest, BatchRoundsAreMaxNotSum) {
@@ -127,22 +164,25 @@ TEST(BatchTest, BatchRoundsAreMaxNotSum) {
   Metrics metrics;
   NowSystem system{p, metrics, 8};
   system.initialize(400, 0, InitTopology::kModeledSparse);
-  const auto [joined, report] = system.step_parallel(6, {});
+  const auto [joined, report] = system.step_parallel_mixed(6, 0, {}, 1);
   ASSERT_EQ(joined.size(), 6u);
-  // Individual join rounds are recorded under the "join" label; the batch
-  // round count must be <= any sum of two of them but >= the max.
-  const auto joins = metrics.operation_samples(metrics.find("join"));
-  ASSERT_GE(joins.size(), 6u);
-  std::uint64_t max_rounds = 0;
-  std::uint64_t sum_rounds = 0;
-  for (auto it = joins.end() - 6; it != joins.end(); ++it) {
-    max_rounds = std::max(max_rounds, it->rounds);
-    sum_rounds += it->rounds;
-  }
-  EXPECT_EQ(report.cost.rounds, max_rounds);
-  EXPECT_LT(report.cost.rounds, sum_rounds);
-  // Messages DO add up.
+  // Without restructuring the commit adds no rounds, and a joins-only
+  // batch schedules primary waves only. The batch's round count then
+  // reduces to the max over the joins plus the max over the waves: the
+  // operations overlap in time, and so do the waves.
+  ASSERT_EQ(report.splits, 0u);
+  ASSERT_EQ(report.merges, 0u);
+  EXPECT_EQ(report.commit_cost.rounds, 0u);
+  ASSERT_GE(report.wave_count, 1u);
+  const RoundStats joins = round_stats(last_samples(metrics, "join", 6));
+  const RoundStats waves =
+      round_stats(last_samples(metrics, "exchange", report.wave_count));
+  EXPECT_EQ(report.cost.rounds, joins.max + waves.max);
+  EXPECT_LT(report.cost.rounds, joins.sum + waves.sum);
+  // Messages DO add up: every shard's planning cost plus the commit's.
+  ASSERT_EQ(report.shard_costs.size(), 1u);
   EXPECT_GT(report.cost.messages, 0u);
+  EXPECT_EQ(report.cost.messages, batch_messages(report));
 }
 
 TEST(BatchTest, MixedBatchRoundsAreMaxOverJoinsAndLeaves) {
@@ -151,44 +191,38 @@ TEST(BatchTest, MixedBatchRoundsAreMaxOverJoinsAndLeaves) {
   NowSystem system{p, metrics, 21};
   system.initialize(400, 0, InitTopology::kModeledSparse);
   Rng rng{3};
-  std::vector<NodeId> leaves;
-  for (int i = 0; i < 4; ++i) {
-    NodeId victim = system.state().random_node(rng);
-    while (std::find(leaves.begin(), leaves.end(), victim) != leaves.end()) {
-      victim = system.state().random_node(rng);
-    }
-    leaves.push_back(victim);
-  }
-  const auto [joined, report] = system.step_parallel(5, leaves);
+  const std::vector<NodeId> leaves =
+      system.state().sample_distinct_nodes(rng, 4);
+  std::set<ClusterId> touched;
+  for (const NodeId node : leaves) touched.insert(system.state().home_of(node));
+  const auto [joined, report] = system.step_parallel_mixed(5, 0, leaves, 1);
   ASSERT_EQ(joined.size(), 5u);
+  ASSERT_EQ(report.splits, 0u);
+  ASSERT_EQ(report.merges, 0u);
 
-  // The batch overlaps all member operations in time: its round count is
-  // the max over every constituent join AND leave, never their sum.
-  const auto joins = metrics.operation_samples(metrics.find("join"));
-  const auto leave_samples = metrics.operation_samples(metrics.find("leave"));
-  ASSERT_GE(joins.size(), 5u);
-  ASSERT_GE(leave_samples.size(), 4u);
-  std::uint64_t max_rounds = 0;
-  std::uint64_t sum_rounds = 0;
-  for (auto it = joins.end() - 5; it != joins.end(); ++it) {
-    max_rounds = std::max(max_rounds, it->rounds);
-    sum_rounds += it->rounds;
-  }
-  for (auto it = leave_samples.end() - 4; it != leave_samples.end(); ++it) {
-    max_rounds = std::max(max_rounds, it->rounds);
-    sum_rounds += it->rounds;
-  }
-  EXPECT_EQ(report.cost.rounds, max_rounds);
-  EXPECT_LT(report.cost.rounds, sum_rounds);
-  // Messages of all member operations add up into the batch scope.
-  std::uint64_t member_messages = 0;
-  for (auto it = joins.end() - 5; it != joins.end(); ++it) {
-    member_messages += it->messages;
-  }
-  for (auto it = leave_samples.end() - 4; it != leave_samples.end(); ++it) {
-    member_messages += it->messages;
-  }
-  EXPECT_EQ(report.cost.messages, member_messages);
+  // Joiners are not shuffled in their own step, so (without restructuring)
+  // each still sits in the cluster its walk picked. The primary waves are
+  // one per cluster an operation touched; the remaining waves are the
+  // secondaries on the leave waves' partners.
+  for (const NodeId node : joined) touched.insert(system.state().home_of(node));
+  const std::size_t primaries = touched.size();
+  ASSERT_GT(report.wave_count, primaries);
+  const auto waves = last_samples(metrics, "exchange", report.wave_count);
+
+  // The documented accounting: max op rounds + max primary-wave rounds +
+  // max secondary-wave rounds + commit rounds — never the sum.
+  const RoundStats joins = round_stats(last_samples(metrics, "join", 5));
+  const RoundStats leaves_rounds =
+      round_stats(last_samples(metrics, "leave", 4));
+  const RoundStats primary = round_stats(waves.first(primaries));
+  const RoundStats secondary = round_stats(waves.subspan(primaries));
+  EXPECT_EQ(report.cost.rounds, std::max(joins.max, leaves_rounds.max) +
+                                    primary.max + secondary.max +
+                                    report.commit_cost.rounds);
+  EXPECT_LT(report.cost.rounds, joins.sum + leaves_rounds.sum +
+                                    primary.sum + secondary.sum);
+  // Messages of all member operations and waves add up.
+  EXPECT_EQ(report.cost.messages, batch_messages(report));
 }
 
 TEST(BatchTest, EmptyBatchIsANoop) {
@@ -196,7 +230,7 @@ TEST(BatchTest, EmptyBatchIsANoop) {
   Metrics metrics;
   NowSystem system{p, metrics, 9};
   system.initialize(300, 0, InitTopology::kModeledSparse);
-  const auto [joined, report] = system.step_parallel(0, {});
+  const auto [joined, report] = system.step_parallel_mixed(0, 0, {}, 1);
   EXPECT_TRUE(joined.empty());
   EXPECT_EQ(report.cost.rounds, 0u);
   EXPECT_EQ(system.num_nodes(), 300u);

@@ -121,22 +121,23 @@ TEST(ShardTest, WaveSchedulerRunsOneWavePerTouchedCluster) {
   NowSystem system{p, metrics, 71};
   system.initialize(60, 0, InitTopology::kModeledSparse);
   ASSERT_EQ(system.num_clusters(), 1u);
-  const auto [joined, report] = system.step_parallel_sharded(6, {}, false, 4);
+  const auto [joined, report] = system.step_parallel_mixed(6, 0, {}, 4);
   ASSERT_EQ(joined.size(), 6u);
   EXPECT_EQ(report.wave_count, 1u);  // 6 joins, one touched cluster
   EXPECT_EQ(report.conflicts, 0u);
   EXPECT_TRUE(system.check().ok);
 
   // In a multi-cluster deployment the wave count is bounded by the number
-  // of live clusters (one wave per cluster per time step), even though the
-  // sequential engine would run one exchange per join plus one per leave
-  // partner — the O(partners x swaps) duplication the scheduler removes.
+  // of live clusters (one wave per cluster per time step), even though
+  // sequential join()/leave() would run one exchange per join plus one per
+  // leave partner — the O(partners x swaps) duplication the scheduler
+  // removes.
   Metrics big_metrics;
   NowSystem big{shard_params(), big_metrics, 73};
   big.initialize(1000, 0, InitTopology::kModeledSparse);
   Rng victims{5};
   const auto leaves = big.state().sample_distinct_nodes(victims, 12);
-  const auto [j2, r2] = big.step_parallel_sharded(12, leaves, false, 4);
+  const auto [j2, r2] = big.step_parallel_mixed(12, 0, leaves, 4);
   EXPECT_GT(r2.wave_count, 0u);
   EXPECT_LE(r2.wave_count, big.num_clusters());
   EXPECT_TRUE(big.check().ok);
@@ -153,8 +154,7 @@ TEST(ShardTest, ClusterSizeMultisetMatchesAcrossShardCounts) {
     Rng victims{7};
     for (int round = 0; round < 6; ++round) {
       const auto leaves = pick_victims(system, 8, victims);
-      system.step_parallel_sharded(8, leaves, false,
-                                   variant == 0 ? 1 : 4);
+      system.step_parallel_mixed(8, 0, leaves, variant == 0 ? 1 : 4);
     }
     for (const ClusterId id : system.state().cluster_ids()) {
       histogram[variant][system.state().cluster_at(id).size()] += 1;
@@ -174,7 +174,7 @@ TEST(ShardTest, PerShardCostsMergeIntoReport) {
   const auto joins_before = metrics.operation_count(metrics.find("join"));
   const auto leaves_before = metrics.operation_count(metrics.find("leave"));
   const auto [joined, report] =
-      system.step_parallel_sharded(9, leaves, false, 3);
+      system.step_parallel_mixed(9, 0, leaves, 3);
   ASSERT_EQ(joined.size(), 9u);
 
   // One planning-cost entry per shard; every planned message is accounted
@@ -213,7 +213,7 @@ TEST(ShardTest, ShardedBatchConservesNodesAndInvariants) {
   for (int round = 0; round < 5; ++round) {
     const auto leaves = pick_victims(system, 6, victims);
     const auto [joined, report] =
-        system.step_parallel_sharded(11, leaves, false, 4);
+        system.step_parallel_mixed(11, 0, leaves, 4);
     EXPECT_EQ(joined.size(), 11u);
     expected += 11 - 6;
     ASSERT_EQ(system.num_nodes(), expected);
@@ -436,24 +436,6 @@ TEST(ShardTest, DirtyAliasOverlayStaysShardCountIndependent) {
   }
   EXPECT_EQ(partition_signature(*systems[0]),
             partition_signature(*systems[1]));
-}
-
-TEST(ShardTest, LegacyPathIsUntouchedByDefault) {
-  // step_parallel with shards<=1 must keep using the historical sequential
-  // engine and the system RNG stream: identical to a plain join/leave loop.
-  Metrics metrics_batch;
-  Metrics metrics_loop;
-  NowSystem batch{shard_params(), metrics_batch, 55};
-  NowSystem loop{shard_params(), metrics_loop, 55};
-  batch.initialize(600, 60, InitTopology::kModeledSparse);
-  loop.initialize(600, 60, InitTopology::kModeledSparse);
-
-  const auto [joined, report] = batch.step_parallel(5, {});
-  (void)report;
-  for (int i = 0; i < 5; ++i) loop.join(false);
-
-  ASSERT_EQ(joined.size(), 5u);
-  EXPECT_EQ(partition_signature(batch), partition_signature(loop));
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ TEST(SnapshotTest, RestoreThenContinueIsBitIdenticalAcrossShards) {
 }
 
 TEST(SnapshotTest, LegacySequentialOpsContinueIdenticallyToo) {
-  // The sequential engine draws from the system RNG directly, so this is
+  // Sequential join()/leave() draw from the system RNG directly, so this is
   // the path that exercises the saved rng state hardest.
   const NowParams params = snapshot_params();
   const std::string path = temp_path("now_legacy.snap");

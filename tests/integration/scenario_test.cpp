@@ -243,5 +243,36 @@ TEST(ScenarioTest, BatchedShardedChurnHoldsInvariants) {
   }
 }
 
+TEST(ScenarioTest, HonestBatchedScenarioIsShardCountIndependent) {
+  // Honest batched churn runs the one batch engine at every shard count;
+  // the shard count changes wall-clock only, never the trajectory.
+  auto config = base_config();
+  config.params.k = 10;
+  config.steps = 30;
+  config.sample_every = 5;
+  config.batch_ops = 8;
+  ScenarioResult results[2];
+  const std::size_t shard_axis[] = {1, 4};
+  for (std::size_t v = 0; v < 2; ++v) {
+    config.shards = shard_axis[v];
+    Metrics metrics;
+    adversary::RandomChurnAdversary adv{config.params.tau,
+                                        adversary::ChurnSchedule::hold(400)};
+    results[v] = run_scenario(config, adv, metrics);
+    EXPECT_EQ(metrics.operation_count(metrics.find("batch")), 30u);
+  }
+  ASSERT_EQ(results[0].samples.size(), results[1].samples.size());
+  for (std::size_t i = 0; i < results[0].samples.size(); ++i) {
+    EXPECT_EQ(results[0].samples[i], results[1].samples[i]) << "sample " << i;
+  }
+  EXPECT_EQ(results[0].final_nodes, results[1].final_nodes);
+  EXPECT_EQ(results[0].final_clusters, results[1].final_clusters);
+  EXPECT_EQ(results[0].final_byzantine, results[1].final_byzantine);
+  EXPECT_GT(results[0].total_resolve_replays, 0u);
+  EXPECT_EQ(results[0].total_resolve_replays,
+            results[1].total_resolve_replays);
+  EXPECT_EQ(results[0].total_stage2_spills, results[1].total_stage2_spills);
+}
+
 }  // namespace
 }  // namespace now::sim

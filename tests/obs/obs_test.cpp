@@ -301,7 +301,7 @@ TEST(ObsDeterminismTest, RunDigestIdenticalWithTelemetryOnOffCompiledOut) {
   EXPECT_EQ(on.engine_rounds, off.engine_rounds);
 
   // Pinned across build configurations (see the comment above).
-  EXPECT_EQ(off.run_digest, 0x71f19f5bc1f50134ull);
+  EXPECT_EQ(off.run_digest, 0xe23a89742270e09full);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Coverage accounting for the corpus fleet (sim/corpus.hpp): deterministic
 // signature extraction, dense cell-key round trips, one-mutation
 // reachability of any named unexplored cell, kind-preserving shrinking,
-// stratified corpus generation, and the fleet-vs-random acceptance bound
+// stratified corpus generation, the fleet-vs-random acceptance bound
 // (>= 2x the distinct signature cells of 6 random scenarios under the
-// same simulated-step budget, fixed seed).
+// same simulated-step budget, fixed seed), and a clean replay of the
+// checked-in bench/corpus traces.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/corpus.hpp"
 #include "sim/trace.hpp"
@@ -177,13 +179,12 @@ TEST(CoverageTest, GeneratedCorpusStratifiesTheBehaviorAxes) {
   EXPECT_EQ(thresholds.size(), 2u);
   EXPECT_EQ(walks.size(), 2u);
 
-  // Case 0 records through the legacy v1 writer; the rest are v2.
-  EXPECT_EQ(trace_info(dir + "/" + cases[0].trace_file).version, 1u);
-  EXPECT_EQ(trace_info(dir + "/" + cases[1].trace_file).version, 2u);
-
-  // Both formats replay green.
-  EXPECT_TRUE(replay_trace(dir + "/" + cases[0].trace_file).ok);
-  EXPECT_TRUE(replay_trace(dir + "/" + cases[1].trace_file).ok);
+  // Every case is recorded in the current format and replays green.
+  for (const CorpusCase& c : cases) {
+    const std::string path = dir + "/" + c.trace_file;
+    EXPECT_EQ(trace_info(path).version, kTraceFormatVersion) << c.name;
+    EXPECT_TRUE(replay_trace(path).ok) << c.name;
+  }
 
   // The manifest names every case.
   std::ifstream manifest(dir + "/MANIFEST.tsv");
@@ -194,6 +195,23 @@ TEST(CoverageTest, GeneratedCorpusStratifiesTheBehaviorAxes) {
     EXPECT_NE(content.find(c.name), std::string::npos) << c.name;
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(CorpusTest, CheckedInCorpusReplaysClean) {
+  // Every checked-in trace (v1 and v2) must replay bit-identically: the
+  // recorded samples, summary and embedded snapshots all re-verify.
+  std::vector<std::string> traces;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(NOW_SOURCE_DIR) + "/bench/corpus")) {
+    if (entry.path().extension() == ".trace") {
+      traces.push_back(entry.path().string());
+    }
+  }
+  ASSERT_FALSE(traces.empty());
+  for (const std::string& path : traces) {
+    const TraceReplayResult replay = replay_trace(path);
+    EXPECT_TRUE(replay.ok) << path << ": " << replay.error;
+  }
 }
 
 }  // namespace

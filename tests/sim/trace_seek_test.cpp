@@ -1,8 +1,8 @@
 // Trace format v2 (DESIGN.md §10): embedded checkpoints + footer index +
 // seekable replay. Covers the footer round trip, seek-restore-continue
 // bit-identity against the full replay (across shard counts), v1 backward
-// compatibility (reader AND writer), and the malformed-footer rejection
-// paths.
+// compatibility of the reader (the checked-in v1 corpus trace), and the
+// malformed-footer rejection paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,12 +210,11 @@ TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShards) {
   std::remove(path.c_str());
 }
 
-TEST(TraceSeekTest, V1WriterStaysReadableAndUnseekable) {
-  const std::string path = temp_path("seek_v1.trace");
-  ScenarioConfig config = batched_config(113);
-  config.trace_format = 1;  // legacy writer
-  const ScenarioResult recorded = record_trace(config, path);
-
+TEST(TraceSeekTest, V1TraceStaysReadableAndUnseekable) {
+  // The writer emits v2 only; the checked-in corpus_000.trace is a v1
+  // recording and keeps the v1 reader covered.
+  const std::string path =
+      std::string(NOW_SOURCE_DIR) + "/bench/corpus/corpus_000.trace";
   const TraceInfo info = trace_info(path);
   EXPECT_EQ(info.version, 1u);
   EXPECT_EQ(info.checkpoint_count, 0u);
@@ -224,38 +223,13 @@ TEST(TraceSeekTest, V1WriterStaysReadableAndUnseekable) {
   const TraceReplayResult replay = replay_trace(path);
   ASSERT_TRUE(replay.ok) << replay.error;
   EXPECT_EQ(replay.checkpoints_checked, 0u);
-  EXPECT_EQ(replay.result.final_nodes, recorded.final_nodes);
+  ASSERT_FALSE(replay.result.samples.empty());
+  EXPECT_EQ(replay.result.samples.back().step, info.steps);
 
   // Seeking a v1 trace is a hard error, not a silent full replay.
   ReplayOptions opts;
   opts.start_checkpoint = 0;
   EXPECT_THROW((void)replay_trace(path, opts), core::SnapshotError);
-  std::remove(path.c_str());
-}
-
-TEST(TraceSeekTest, V1AndV2RecordTheSameTrajectory) {
-  // The format bump cannot change what is recorded: the same scenario
-  // written through both writers replays to identical outcomes.
-  const std::string v1 = temp_path("seek_pair_v1.trace");
-  const std::string v2 = temp_path("seek_pair_v2.trace");
-  ScenarioConfig config = batched_config(127);
-  config.trace_format = 1;
-  (void)record_trace(config, v1);
-  config.trace_format = 0;
-  (void)record_trace(config, v2);
-
-  const TraceReplayResult a = replay_trace(v1);
-  const TraceReplayResult b = replay_trace(v2);
-  ASSERT_TRUE(a.ok) << a.error;
-  ASSERT_TRUE(b.ok) << b.error;
-  ASSERT_EQ(a.result.samples.size(), b.result.samples.size());
-  for (std::size_t i = 0; i < a.result.samples.size(); ++i) {
-    EXPECT_EQ(a.result.samples[i], b.result.samples[i]);
-  }
-  EXPECT_EQ(a.result.final_nodes, b.result.final_nodes);
-  EXPECT_EQ(a.result.total_splits, b.result.total_splits);
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
 }
 
 TEST(TraceSeekTest, MalformedFootersAreRejectedNotMisparsed) {
