@@ -20,7 +20,6 @@
 #include "graph/erdos_renyi.hpp"
 #include "graph/random_walk.hpp"
 #include "graph/spectral.hpp"
-#include "obs/obs.hpp"
 
 namespace now {
 namespace {
@@ -229,43 +228,6 @@ BENCHMARK(BM_JoinLeaveCycle)
     ->Args({100000, 4})
     ->Args({200000, 1})
     ->Args({200000, 4});
-
-/// BM_JoinLeaveCycle's body with the telemetry layer switched ON
-/// (spans recorded, counters incremented) — the obs-overhead guard row.
-/// scripts/check_bench.py compares it against BM_JoinLeaveCycle/100000/4
-/// (same work, telemetry off) and warns when the hooks cost more than the
-/// DESIGN.md §13 overhead budget. With NOW_OBS=OFF the two rows measure
-/// identical code.
-void BM_JoinLeaveCycleObs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kBatch = 32;
-  core::NowParams params;
-  params.max_size = std::max<std::uint64_t>(std::uint64_t{1} << 12,
-                                            std::bit_ceil(2 * n));
-  params.walk_mode = core::WalkMode::kSampleExact;
-  Metrics metrics;
-  core::NowSystem system{params, metrics, 9};
-  system.initialize(n, n * 15 / 100, core::InitTopology::kModeledSparse);
-  obs::set_enabled(true);
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto [joined, up] = system.step_parallel_mixed(kBatch, 0, {}, shards);
-    benchmark::DoNotOptimize(up.cost.messages);
-    const auto [unused, down] =
-        system.step_parallel_mixed(0, 0, joined, shards);
-    benchmark::DoNotOptimize(down.cost.messages);
-    state.SetIterationTime(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count() /
-        static_cast<double>(kBatch));
-  }
-  obs::set_enabled(false);
-  obs::SpanRecorder::instance().reset();
-  obs::Registry::instance().reset();
-}
-BENCHMARK(BM_JoinLeaveCycleObs)->UseManualTime()->Args({100000, 4});
 
 /// The huge-batch tier (DESIGN.md §11): one deployment at n ∈ {1e6, 1e7}
 /// stepped with 4096-op batches through the sharded engine — the scale the

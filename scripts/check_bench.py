@@ -128,30 +128,6 @@ def check_micro_file(name: str, base: dict, cur: dict, wall_tol: float,
                     f"(> {wall_tol:.2f}x higher; warn-only)")
 
 
-# Obs-overhead guard (DESIGN.md §13): the telemetry hooks' cost on the hot
-# sharded step is bounded by comparing the obs-on row against the obs-off
-# row *within the same run* (same machine, same build — wall-clock noise
-# cancels, unlike baseline diffs). Warn-only like every wall-clock check.
-OBS_ROW = "BM_JoinLeaveCycleObs/100000/4/manual_time"
-OBS_BASELINE_ROW = "BM_JoinLeaveCycle/100000/4/manual_time"
-OBS_OVERHEAD_TOLERANCE = 1.03
-
-
-def check_obs_overhead(name: str, cur: dict, warnings: list) -> None:
-    rows = {b.get("name"): b
-            for b in cur.get("benchmarks", [])
-            if b.get("run_type") != "aggregate"}
-    obs_row, base_row = rows.get(OBS_ROW), rows.get(OBS_BASELINE_ROW)
-    if obs_row is None or base_row is None:
-        return  # presence is enforced against the baseline separately
-    obs_t, base_t = obs_row.get("real_time"), base_row.get("real_time")
-    if obs_t and base_t and obs_t > base_t * OBS_OVERHEAD_TOLERANCE:
-        warnings.append(
-            f"{name}: telemetry overhead {obs_t:.0f} vs {base_t:.0f} ns "
-            f"(> {(OBS_OVERHEAD_TOLERANCE - 1) * 100:.0f}% budget, "
-            f"'{OBS_ROW}' vs '{OBS_BASELINE_ROW}'; warn-only)")
-
-
 def check_csv_file(name: str, base_path: Path, cur_path: Path,
                    errors: list) -> None:
     """Example CSVs carry no wall-clock columns, so the whole file is a
@@ -215,7 +191,6 @@ def main() -> int:
         if "benchmarks" in base:
             check_micro_file(bpath.name, base, cur, args.wall_tolerance,
                              errors, warnings)
-            check_obs_overhead(bpath.name, cur, warnings)
         else:
             check_emitter_file(bpath.name, base, cur, args.wall_tolerance,
                                errors, warnings)

@@ -4,8 +4,9 @@
 #     exist as bench/bench_<name>.cpp (CMake globs that directory, so file
 #     existence == build target existence);
 #   * every `NowSystem::<name>` and `step_parallel*` token in README.md,
-#     DESIGN.md or EXPERIMENTS.md must be declared in src/core/now.hpp
-#     (outside comments), so the docs cannot name a deleted entry point.
+#     DESIGN.md or EXPERIMENTS.md must be declared in src/core/now.hpp,
+#     and every `PlanCache::<name>` in src/core/plan_cache.hpp (outside
+#     comments), so the docs cannot name a deleted entry point or member.
 # Fails the CI docs job when documentation references a bench or API that
 # was renamed or removed.
 set -euo pipefail
@@ -27,23 +28,34 @@ for doc in README.md EXPERIMENTS.md; do
   done
 done
 
-api=src/core/now.hpp
-declared=$(grep -vE '^[[:space:]]*//' "$api")
-api_refs='NowSystem::[A-Za-z_][A-Za-z0-9_]*|step_parallel[A-Za-z0-9_]*'
-for doc in README.md DESIGN.md EXPERIMENTS.md; do
-  [ -f "$doc" ] || { echo "missing $doc" >&2; status=1; continue; }
-  names=$(grep -oE "$api_refs" "$doc" | sed 's/^NowSystem:://' | sort -u \
-            || true)
-  for name in $names; do
-    if ! grep -qE "(^|[^A-Za-z0-9_])${name}\(" <<<"$declared"; then
-      echo "$doc references '$name' but $api does not declare it" >&2
-      status=1
-    fi
+# check_members HEADER REFS PREFIX DECL: every REFS token in the docs,
+# PREFIX stripped, must appear in HEADER (outside comments) followed by
+# the DECL pattern.
+check_members() {
+  local header=$1 refs=$2 prefix=$3 decl=$4 declared doc names name
+  declared=$(grep -vE '^[[:space:]]*//' "$header")
+  for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    [ -f "$doc" ] || { echo "missing $doc" >&2; status=1; continue; }
+    names=$(grep -oE "$refs" "$doc" | sed "s/^${prefix}//" | sort -u \
+              || true)
+    for name in $names; do
+      if ! grep -qE "(^|[^A-Za-z0-9_])${name}${decl}" <<<"$declared"; then
+        echo "$doc references '$name' but $header does not declare it" >&2
+        status=1
+      fi
+    done
   done
-done
+}
+# NowSystem members and step_parallel* must be declared as functions;
+# PlanCache members may be functions or fields.
+check_members src/core/now.hpp \
+  'NowSystem::[A-Za-z_][A-Za-z0-9_]*|step_parallel[A-Za-z0-9_]*' \
+  'NowSystem::' '\('
+check_members src/core/plan_cache.hpp 'PlanCache::[A-Za-z_][A-Za-z0-9_]*' \
+  'PlanCache::' '([^A-Za-z0-9_]|$)'
 
 if [ "$status" -eq 0 ]; then
-  echo "docs check passed: every referenced bench target and NowSystem" \
-       "member exists"
+  echo "docs check passed: every referenced bench target, NowSystem" \
+       "and PlanCache member exists"
 fi
 exit "$status"

@@ -6,8 +6,8 @@ The corpus is a set of seeded randomized adversarial scenarios — each a
 replayable binary trace (sim/trace.hpp) — with failing scenarios shrunk to
 minimal reproducers by the generator (sim/corpus.hpp). A MANIFEST.tsv
 names every case with its trace format, failure kind and coverage
-signature. CI's `corpus` job replays every checked-in trace (v1 and v2)
-and fails on invariant-sample drift, so any behavioral change to the
+signature. CI's `corpus` job replays every checked-in trace and fails
+on invariant-sample drift, so any behavioral change to the
 engine that alters a recorded trajectory is caught exactly like a
 bench-fidelity regression; `now_trace recheck` additionally verifies that
 failing reproducers still fail with their recorded failure kind.
@@ -27,7 +27,12 @@ to bench/corpus/MANIFEST.tsv. The resulting diff is PR-able as-is.
 Regeneration is deterministic in --seed, so re-running with the same seed
 and the same engine produces byte-identical traces. After an INTENTIONAL
 behavioral change, regenerate and commit the new traces together with the
-change (the same policy as the bench baseline).
+change (the same policy as the bench baseline). The reader accepts only
+the current trace format version, so a format bump (e.g. a snapshot
+layout change, which the embedded checkpoints carry) requires
+re-recording every checked-in trace from its header config through
+`run_corpus_scenario` — same trajectories, new embedded bytes — and
+setting the manifest's `format` column.
 """
 
 from __future__ import annotations

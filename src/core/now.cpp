@@ -14,7 +14,6 @@
 #include "cluster/rand_num.hpp"
 #include "common/math_util.hpp"
 #include "core/plan_cache.hpp"
-#include "core/snapshot.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/erdos_renyi.hpp"
 #include "obs/obs.hpp"
@@ -425,53 +424,6 @@ std::size_t NowSystem::footprint_bytes() const {
 
 bool NowSystem::plan_cache_consistent() const {
   return !batch_->cache.valid || batch_->cache.consistent_with(state_);
-}
-
-// Snapshot glue for the PlanCache (core/snapshot.cpp drives these; they
-// live here because BatchScratch is opaque outside this file). Only the
-// alias sampler's OBSERVABLE state is written: the stale Vose weights and
-// the dirty-overlay list, whose draw/rejection pattern shows through the
-// per-op derived RNG streams. The dense tables, neighborhood populations
-// and flat offsets are pure functions of the restored state, so load
-// rebuilds them with build() and then re-marks the overlay.
-void NowSystem::save_plan_cache(SnapshotWriter& writer) const {
-  const PlanCache& cache = batch_->cache;
-  writer.u8(cache.valid ? 1 : 0);
-  if (!cache.valid) return;
-  writer.u64(cache.table_weight.size());
-  for (const std::uint64_t weight : cache.table_weight) writer.u64(weight);
-  writer.u64(cache.dirty_list.size());
-  for (const std::uint32_t index : cache.dirty_list) writer.u32(index);
-}
-
-void NowSystem::load_plan_cache(SnapshotReader& reader) {
-  PlanCache& cache = batch_->cache;
-  if (reader.u8() == 0) {
-    cache.invalidate();
-    return;
-  }
-  cache.build(state_, params_);
-  const std::uint64_t stale_count = reader.count(8);
-  if (stale_count != cache.current_weight.size()) {
-    throw SnapshotError("plan-cache stale-weight table size mismatch");
-  }
-  std::vector<std::uint64_t> stale(stale_count);
-  for (auto& weight : stale) weight = reader.u64();
-  const std::uint64_t dirty_count = reader.count(4);
-  std::vector<std::uint32_t> dirty;
-  dirty.reserve(dirty_count);
-  std::vector<std::uint8_t> seen(stale_count, 0);
-  for (std::uint64_t i = 0; i < dirty_count; ++i) {
-    const std::uint32_t index = reader.u32();
-    if (index >= stale_count || seen[index] != 0) {
-      throw SnapshotError("plan-cache dirty index out of range or "
-                          "repeated");
-    }
-    seen[index] = 1;
-    dirty.push_back(index);
-  }
-  cache.restore_alias(std::move(stale), dirty);
-  assert(cache.consistent_with(state_));
 }
 
 InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
@@ -1013,13 +965,9 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       all_deltas.insert(all_deltas.end(), bs.delta_scratch[s].begin(),
                         bs.delta_scratch[s].end());
     }
-    // Canonical (ascending-slot) order: the concatenation above depends on
-    // the shard count's slot-block partition, and while the Fenwick adds
-    // commute, the PlanCache's alias dirty overlay records these slots in
-    // a LIST whose order is observable through draw_biased's dirty-branch
-    // linear scan — an order that must therefore be shard-count
-    // independent. Slots are unique per batch (one owner each).
-    std::sort(all_deltas.begin(), all_deltas.end());
+    // The concatenation order depends on the shard count's slot-block
+    // partition; every consumer (Fenwick adds, PlanCache patches) is
+    // order-independent, and slots are unique per batch (one owner each).
     const bool pooled = pool.worker_count() > 0 && shards > 1;
     state_.apply_size_deltas(all_deltas, pooled ? &pool : nullptr, shards);
     state_.adjust_placed_count(static_cast<std::int64_t>(joins) -
@@ -1048,17 +996,14 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
 
     // Cache maintenance: a structure-preserving batch folds the very size
     // deltas stage 2 just applied into the persistent PlanCache (patching
-    // every overlay neighbor's neighborhood population and the alias
-    // sampler's dirty overlay); any restructuring invalidates it and the
-    // next batch rebuilds.
+    // every overlay neighbor's neighborhood population and rebuilding the
+    // alias table over the current sizes); any restructuring invalidates
+    // it and the next batch rebuilds.
     if (combined.splits > 0 || combined.merges > 0 ||
         combined.rejoins > 0) {
       cache.invalidate();
     } else if (cache.valid) {
-      for (const auto& [slot, delta] : all_deltas) {
-        cache.apply_size_delta(state_, slot, delta);
-      }
-      cache.maybe_rebuild_alias();
+      cache.apply_size_deltas(state_, all_deltas);
     }
     stage2_span.stop();
   }

@@ -265,7 +265,7 @@ class NowSystem {
   [[nodiscard]] std::size_t footprint_bytes() const;
 
   /// Verifies the persistent PlanCache against a from-scratch rebuild
-  /// (sizes, neighborhoods, alias-overlay totals). For the nightly
+  /// (sizes, neighborhoods, dense index tables). For the nightly
   /// large-n stress; O(k).
   [[nodiscard]] bool plan_cache_consistent() const;
 
@@ -288,13 +288,9 @@ class NowSystem {
   /// the hardware concurrency. Worker count never affects results.
   ThreadPool& pool_for(std::size_t shards);
 
-  /// Snapshot glue (core/snapshot.cpp reaches the private fields; the
-  /// PlanCache blob lives behind the opaque BatchScratch, so its two
-  /// halves are implemented in now.cpp).
+  /// Snapshot glue (core/snapshot.cpp reaches the private fields).
   friend void save_system(const NowSystem& system, SnapshotWriter& writer);
   friend void load_system(NowSystem& system, SnapshotReader& reader);
-  void save_plan_cache(SnapshotWriter& writer) const;
-  void load_plan_cache(SnapshotReader& reader);
 
   NowParams params_;
   Metrics& metrics_;

@@ -1,8 +1,5 @@
 #include "core/plan_cache.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace now::core {
 
 std::uint64_t neighborhood_population(const NowState& state, ClusterId c) {
@@ -53,94 +50,40 @@ void PlanCache::refresh(const NowState& state, const NowParams& params) {
   }
 }
 
-void PlanCache::apply_size_delta(const NowState& state, std::size_t slot,
-                                 std::int64_t delta) {
-  if (delta == 0) return;
-  const std::uint32_t index = index_by_slot[slot];
-  const std::uint64_t updated = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(current_weight[index]) + delta);
-  current_weight[index] = updated;
-  total_weight = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(total_weight) + delta);
-  if (dirty_flag[index] == 0) {
-    dirty_flag[index] = 1;
-    dirty_list.push_back(index);
-    dirty_table_mass += table_weight[index];
-    dirty_current_mass += updated;
-  } else {
-    dirty_current_mass = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(dirty_current_mass) + delta);
+void PlanCache::apply_size_deltas(
+    const NowState& state,
+    std::span<const std::pair<std::size_t, std::int64_t>> deltas) {
+  for (const auto& [slot, delta] : deltas) {
+    const std::uint32_t index = index_by_slot[slot];
+    current_weight[index] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(current_weight[index]) + delta);
+    total_weight = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(total_weight) + delta);
+    // Patch every overlay neighbor's neighborhood population. The overlay
+    // is untouched between structure-preserving batches, so adjacency is
+    // exactly what both the live state and the cached tables agree on.
+    for (const graph::Vertex v :
+         state.overlay.graph().neighbors(id_by_index[index].value())) {
+      const std::size_t neighbor_slot = state.slot_index(ClusterId{v});
+      neighborhood_by_slot[neighbor_slot] = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(neighborhood_by_slot[neighbor_slot]) +
+          delta);
+      neighborhood_by_index[index_by_slot[neighbor_slot]] =
+          neighborhood_by_slot[neighbor_slot];
+    }
   }
-  // A dirty entry whose size drifted back to the table weight could be
-  // un-dirtied; not worth the bookkeeping — the rebuild threshold absorbs
-  // the rare case.
-
-  // Patch every overlay neighbor's neighborhood population. The overlay is
-  // untouched between structure-preserving batches, so adjacency is
-  // exactly what both the live state and the stale tables agree on.
-  const ClusterId changed = id_by_index[index];
-  for (const graph::Vertex v :
-       state.overlay.graph().neighbors(changed.value())) {
-    const std::size_t neighbor_slot = state.slot_index(ClusterId{v});
-    neighborhood_by_slot[neighbor_slot] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(neighborhood_by_slot[neighbor_slot]) +
-        delta);
-    neighborhood_by_index[index_by_slot[neighbor_slot]] =
-        neighborhood_by_slot[neighbor_slot];
-  }
-}
-
-void PlanCache::maybe_rebuild_alias() {
-  // Keep the clean-branch acceptance >= 15/16 and the dirty scan short
-  // (every size-biased draw pays the dirty branch with probability
-  // dirty_current_mass / n, and that branch scans the list linearly); a
-  // rebuild is a cheap O(k) Vose pass, so the thresholds are tight — a
-  // few batches still share one rebuild while draws stay ~O(1).
-  if (dirty_table_mass * 16 >= table_total ||
-      dirty_list.size() * 16 >= id_by_index.size()) {
-    rebuild_alias();
-  }
+  rebuild_alias();
 }
 
 void PlanCache::rebuild_alias() {
-  table_weight = current_weight;
-  table_total = total_weight;
-  dirty_list.clear();
-  dirty_flag.assign(current_weight.size(), 0);
-  dirty_table_mass = 0;
-  dirty_current_mass = 0;
-  build_alias_tables();
-}
-
-void PlanCache::restore_alias(std::vector<std::uint64_t> stale_weights,
-                              const std::vector<std::uint32_t>& dirty) {
-  assert(stale_weights.size() == current_weight.size());
-  table_weight = std::move(stale_weights);
-  table_total = 0;
-  for (const std::uint64_t w : table_weight) table_total += w;
-  dirty_list.clear();
-  dirty_flag.assign(current_weight.size(), 0);
-  dirty_table_mass = 0;
-  dirty_current_mass = 0;
-  build_alias_tables();
-  for (const std::uint32_t i : dirty) {
-    assert(i < current_weight.size() && dirty_flag[i] == 0);
-    dirty_flag[i] = 1;
-    dirty_list.push_back(i);
-    dirty_table_mass += table_weight[i];
-    dirty_current_mass += current_weight[i];
-  }
-}
-
-void PlanCache::build_alias_tables() {
-  const std::size_t k = table_weight.size();
+  const std::size_t k = current_weight.size();
 
   // Vose construction on integer weights (scaled by k so every column ends
   // with a threshold in [0, W] and one alias); exactness needs no floating
   // point.
-  const std::uint64_t w = table_total;
+  const std::uint64_t w = total_weight;
   std::vector<std::uint64_t> scaled(k);  // |C| * k, summing to n * k
-  for (std::size_t i = 0; i < k; ++i) scaled[i] = table_weight[i] * k;
+  for (std::size_t i = 0; i < k; ++i) scaled[i] = current_weight[i] * k;
   alias_threshold.assign(k, w);
   alias_index.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
@@ -165,35 +108,10 @@ void PlanCache::build_alias_tables() {
 }
 
 std::size_t PlanCache::draw_biased(Rng& rng) const {
-  if (dirty_list.empty()) {
-    // Exact stale-free path: two uniform draws + two array loads.
-    const std::size_t column = rng.uniform(alias_threshold.size());
-    const std::uint64_t toss = rng.uniform(table_total);
-    return toss < alias_threshold[column] ? column : alias_index[column];
-  }
-  const std::uint64_t clean_mass = total_weight - dirty_current_mass;
-  std::uint64_t toss = rng.uniform(total_weight);
-  if (toss < clean_mass) {
-    // Clean branch: P(i | clean) = w_i / clean_mass via rejection on the
-    // stale table (clean weights are unchanged since the table was built),
-    // so P(i) = clean_mass / n * w_i / clean_mass = w_i / n exactly.
-    while (true) {
-      const std::size_t column = rng.uniform(alias_threshold.size());
-      const std::uint64_t t2 = rng.uniform(table_total);
-      const std::size_t i =
-          t2 < alias_threshold[column] ? column : alias_index[column];
-      if (dirty_flag[i] == 0) return i;
-    }
-  }
-  // Dirty branch: short linear scan by current weight.
-  toss -= clean_mass;
-  for (const std::uint32_t i : dirty_list) {
-    const std::uint64_t weight = current_weight[i];
-    if (toss < weight) return i;
-    toss -= weight;
-  }
-  assert(false && "dirty masses out of sync");
-  return dirty_list.back();
+  // Two uniform draws + two array loads.
+  const std::size_t column = rng.uniform(alias_threshold.size());
+  const std::uint64_t toss = rng.uniform(total_weight);
+  return toss < alias_threshold[column] ? column : alias_index[column];
 }
 
 bool PlanCache::consistent_with(const NowState& state) const {
@@ -213,16 +131,7 @@ bool PlanCache::consistent_with(const NowState& state) const {
     if (neighborhood_by_index[i] != neighborhood_by_slot[slot]) return false;
     mass += current_weight[i];
   }
-  if (mass != total_weight || total_weight != state.num_nodes()) return false;
-  std::uint64_t dirty_current = 0;
-  std::uint64_t dirty_table = 0;
-  for (const std::uint32_t i : dirty_list) {
-    if (dirty_flag[i] == 0) return false;
-    dirty_current += current_weight[i];
-    dirty_table += table_weight[i];
-  }
-  return dirty_current == dirty_current_mass &&
-         dirty_table == dirty_table_mass;
+  return mass == total_weight && total_weight == state.num_nodes();
 }
 
 }  // namespace now::core

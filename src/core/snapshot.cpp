@@ -399,7 +399,6 @@ void save_system(const NowSystem& system, SnapshotWriter& w) {
   for (const std::uint64_t word : system.rng_.state()) w.u64(word);
   save_params(system.params_, w);
   snapshot_save_state(system.state_, w);
-  system.save_plan_cache(w);
 }
 
 void load_system(NowSystem& system, SnapshotReader& r) {
@@ -416,7 +415,6 @@ void load_system(NowSystem& system, SnapshotReader& r) {
   check_params(system.params_, r);
   snapshot_load_state(system.state_, r);
   system.initialized_ = initialized;
-  system.load_plan_cache(r);
 }
 
 void NowSystem::save(const std::string& path) const {

@@ -10,13 +10,11 @@
 // membership), the Byzantine and live-node sets IN THEIR DENSE ORDER (both
 // orders are observable through uniform index draws and items()
 // iteration), the overlay adjacency in its dense vertex order
-// (random_vertex indexes it), the system RNG's raw 256-bit state, the
-// batch/step counters — and the PlanCache's alias-sampler state (the stale
-// Vose weights plus the dirty overlay list), because draw_biased's
-// rejection pattern is observable through the per-op derived RNG streams.
-// Everything else in the PlanCache (dense index tables, neighborhood
-// populations) is a pure function of the restored state and is REBUILT on
-// load, then debug-asserted consistent_with(state).
+// (random_vertex indexes it), the system RNG's raw 256-bit state and the
+// batch/step counters. The batch engine's PlanCache is a pure function of
+// the state (core/plan_cache.hpp), so nothing of it is written: a restored
+// system starts with an invalid cache and its next batch builds one that
+// draws identically to the saver's incrementally maintained cache.
 //
 // Restore-then-continue is bit-identical to the uninterrupted run for
 // every shard count (tests/core/snapshot_test.cpp).
@@ -51,13 +49,15 @@ class SnapshotError : public std::runtime_error {
 /// Current format version of NowSystem snapshots. Bump rules (DESIGN.md
 /// §9): bump on ANY payload layout change — loaders reject other versions
 /// rather than misparse, and no cross-version migration is attempted. A
-/// bump here also obligates bumping sim/trace.hpp's checkpoint version
-/// (checkpoints embed a save_system payload); the trace format itself
-/// (header + events, no embedded state) is unaffected.
+/// bump here also obligates bumping every format that embeds a save_system
+/// payload: sim/trace.hpp's trace and scenario-checkpoint versions and the
+/// sharded runtime's NOWSHARD checkpoint version (sim/shard_runtime.cpp).
 ///   v1 — per-cluster member lists, no slab geometry.
 ///   v2 — membership slab: explicit tail + per-slot extent (first/cap/size)
 ///        + bulk little-endian member block per live slot.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+///   v3 — no trailing PlanCache blob (validity flag, stale alias weights,
+///        dirty-overlay list).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Little-endian binary writer over an in-memory buffer. write_file frames
 /// the buffer with magic + version + checksum.
@@ -173,7 +173,7 @@ class SnapshotReader {
   }
 
   // Random access within the payload — the seekable-trace machinery
-  // (sim/trace.hpp v2): a trace footer records byte offsets of embedded
+  // (sim/trace.hpp): a trace footer records byte offsets of embedded
   // checkpoint frames and replay jumps straight to one. Offsets are
   // validated here so a corrupt footer fails as SnapshotError, never as an
   // out-of-range read.

@@ -28,7 +28,7 @@
 // under the same budget (asserted in tests/sim/corpus_coverage_test.cpp).
 //
 // bench/corpus/ holds the checked-in corpus (traces + MANIFEST.tsv); the
-// CI `corpus` job replays every trace there — v1 and v2 — and fails on
+// CI `corpus` job replays every trace there and fails on
 // any invariant-sample drift, so a behavioral change that alters any
 // recorded trajectory is caught exactly like a bench-fidelity regression.
 // The nightly fleet promotes new minimal reproducers into bench/corpus/

@@ -88,7 +88,7 @@ struct ScenarioConfig {
   /// sample to this file. Ignored on resumed runs (a trace must cover the
   /// whole run to be replayable).
   std::string trace_path;
-  /// Trace v2 embedded-checkpoint cadence: every this many steps the
+  /// Trace embedded-checkpoint cadence: every this many steps the
   /// recorder embeds a full system snapshot into the trace, giving replay
   /// O(log steps) divergence bisection (trace_checkpoints / bisect_trace).
   /// 0 picks an automatic cadence (~8 checkpoints across the horizon).
@@ -139,7 +139,7 @@ struct ScenarioResult {
   // signature bits (sim/corpus.hpp). Deliberately NOT part of the trace
   // summary frame (sim/trace.cpp write_summary) — they describe which
   // engine paths a run exercised, not the trajectory itself, and adding
-  // them there would break the v1 trace layout.
+  // them there would break the frozen summary layout.
   /// Swaps that missed the resolve's planned-slot fast path
   /// (OpReport::resolve_replays), summed over the run's batches.
   std::size_t total_resolve_replays = 0;

@@ -18,7 +18,9 @@ namespace now::sim {
 namespace {
 
 constexpr std::string_view kCheckpointMagic = "NOWSHARD";
-constexpr std::uint32_t kCheckpointVersion = 1;
+/// Embeds a save_system payload, so it follows every snapshot version bump
+/// (v2: snapshot v3).
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 // Stream tags separating the per-shard seed derivations from each other
 // (and from anything the scenario driver derives from the same user seed).

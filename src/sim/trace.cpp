@@ -12,7 +12,7 @@ namespace {
 constexpr char kTraceMagic[] = "NOWTRAC1";
 constexpr char kCheckpointMagic[] = "NOWCKPT1";
 
-/// Trace frame tags. v1 defined 1..6; v2 appends kFrameCheckpoint. The
+/// Trace frame tags (kFrameCheckpoint arrived in trace v2). The
 /// footer is NOT a frame — it lives after the end frame and is located
 /// via the trailing offset word, never by sequential scan.
 enum Frame : std::uint8_t {
@@ -56,7 +56,7 @@ InvariantSample read_sample(core::SnapshotReader& r) {
   return s;
 }
 
-// The summary layout is frozen across v1/v2 — the PR-6 behavior counters
+// The summary layout has been frozen since trace v1 — the behavior counters
 // on ScenarioResult are deliberately NOT serialized here.
 void write_summary(core::SnapshotWriter& w, const ScenarioResult& result) {
   w.f64(result.peak_byz_fraction);
@@ -136,13 +136,20 @@ TraceHeader read_header(core::SnapshotReader& r) {
   return h;
 }
 
+/// Opens a framed trace; every version but the current one is rejected.
+core::SnapshotReader open_trace(const std::string& path) {
+  return core::SnapshotReader::read_file(path, kTraceMagic,
+                                         kTraceFormatVersion,
+                                         kTraceFormatVersion);
+}
+
 struct TraceFooter {
   std::vector<TraceCheckpointInfo> checkpoints;
   /// Payload byte offset of the footer itself — the event stream's end.
   std::uint64_t offset = 0;
 };
 
-/// Locates and validates a v2 footer via the trailing offset word. Leaves
+/// Locates and validates the footer via the trailing offset word. Leaves
 /// the reader positioned right before that word; callers seek back.
 TraceFooter read_footer(core::SnapshotReader& r) {
   if (r.size() < 8) {
@@ -275,20 +282,13 @@ void TraceRecorder::finish(const ScenarioResult& result,
 
 TraceReplayResult replay_trace(const std::string& path,
                                const ReplayOptions& opts) {
-  core::SnapshotReader reader = core::SnapshotReader::read_file(
-      path, kTraceMagic, kTraceMinReadVersion, kTraceFormatVersion);
-  const std::uint32_t version = reader.version();
+  core::SnapshotReader reader = open_trace(path);
   const TraceHeader header = read_header(reader);
   const std::uint64_t header_end = reader.pos();
-
-  std::uint64_t body_end = reader.size();
-  std::vector<TraceCheckpointInfo> index;
-  if (version >= 2) {
-    const TraceFooter footer = read_footer(reader);
-    body_end = footer.offset;
-    index = footer.checkpoints;
-    reader.seek(header_end);
-  }
+  const TraceFooter footer = read_footer(reader);
+  const std::uint64_t body_end = footer.offset;
+  const std::vector<TraceCheckpointInfo>& index = footer.checkpoints;
+  reader.seek(header_end);
 
   TraceReplayResult replay;
   Metrics metrics;
@@ -501,7 +501,7 @@ TraceReplayResult replay_trace(const std::string& path,
   if (!saw_end && replay.ok) {
     mismatch("trace has no end-of-run summary frame");
   }
-  if (saw_end && version >= 2 && reader.pos() != body_end) {
+  if (saw_end && reader.pos() != body_end) {
     throw core::SnapshotError(
         "trailing bytes between end frame and footer: " + path);
   }
@@ -509,15 +509,12 @@ TraceReplayResult replay_trace(const std::string& path,
 }
 
 std::vector<TraceCheckpointInfo> trace_checkpoints(const std::string& path) {
-  core::SnapshotReader reader = core::SnapshotReader::read_file(
-      path, kTraceMagic, kTraceMinReadVersion, kTraceFormatVersion);
-  if (reader.version() < 2) return {};
+  core::SnapshotReader reader = open_trace(path);
   return read_footer(reader).checkpoints;
 }
 
 TraceInfo trace_info(const std::string& path) {
-  core::SnapshotReader reader = core::SnapshotReader::read_file(
-      path, kTraceMagic, kTraceMinReadVersion, kTraceFormatVersion);
+  core::SnapshotReader reader = open_trace(path);
   const TraceHeader h = read_header(reader);
   TraceInfo info;
   info.version = reader.version();
@@ -530,9 +527,7 @@ TraceInfo trace_info(const std::string& path) {
   info.shards = h.shards;
   info.tau = h.params.tau;
   info.adversary = h.adversary;
-  if (info.version >= 2) {
-    info.checkpoint_count = read_footer(reader).checkpoints.size();
-  }
+  info.checkpoint_count = read_footer(reader).checkpoints.size();
   return info;
 }
 
@@ -669,18 +664,13 @@ std::vector<FrameRef> scan_frames(core::SnapshotReader& reader,
 TraceMutation mutate_trace(const std::string& path,
                            const std::string& out_path,
                            TraceMutationKind kind, std::uint64_t pick) {
-  core::SnapshotReader reader = core::SnapshotReader::read_file(
-      path, kTraceMagic, kTraceMinReadVersion, kTraceFormatVersion);
-  const std::uint32_t version = reader.version();
+  core::SnapshotReader reader = open_trace(path);
   std::vector<std::uint8_t> payload(reader.size());
   reader.bytes(payload.data(), payload.size());
 
   core::SnapshotReader scan{payload};
   (void)read_header(scan);
-  std::uint64_t body_end = payload.size();
-  if (version >= 2) {
-    body_end = read_u64_at(payload, payload.size() - 8);
-  }
+  const std::uint64_t body_end = read_u64_at(payload, payload.size() - 8);
   const std::vector<FrameRef> frames = scan_frames(scan, body_end);
 
   std::vector<FrameRef> candidates;
@@ -748,13 +738,12 @@ TraceMutation mutate_trace(const std::string& path,
 
   core::SnapshotWriter w;
   w.bytes(payload.data(), payload.size());
-  w.write_file(out_path, kTraceMagic, version);
+  w.write_file(out_path, kTraceMagic, kTraceFormatVersion);
   return mutation;
 }
 
 std::string describe_trace(const std::string& path) {
-  core::SnapshotReader reader = core::SnapshotReader::read_file(
-      path, kTraceMagic, kTraceMinReadVersion, kTraceFormatVersion);
+  core::SnapshotReader reader = open_trace(path);
   const TraceHeader h = read_header(reader);
   std::ostringstream os;
   os << "v" << reader.version() << " seed=" << h.seed << " steps="
@@ -768,9 +757,7 @@ std::string describe_trace(const std::string& path) {
                                                     : "uniform")
        << " leave_quota=" << h.leave_quota;
   }
-  if (reader.version() >= 2) {
-    os << " checkpoints=" << read_footer(reader).checkpoints.size();
-  }
+  os << " checkpoints=" << read_footer(reader).checkpoints.size();
   if (!h.params.shuffle_enabled) os << " (no-shuffle)";
   return os.str();
 }

@@ -16,17 +16,15 @@
 // process that found it — its trace is a portable, shrinkable, CI-gated
 // reproducer (sim/corpus.hpp, bench/corpus/).
 //
-// Format v2 (DESIGN.md §10) adds SEEKABLE replay: the recorder embeds
-// periodic full system snapshots (core/snapshot.hpp save_system payloads)
-// as checkpoint frames, and a footer indexes their (step, byte offset)
-// pairs so replay can restore any checkpoint in O(1) and continue from
-// there bit-identically. Full replays byte-compare the live state against
-// every embedded snapshot — each checkpoint is an extra observation point
+// Traces are SEEKABLE (DESIGN.md §10): the recorder embeds periodic full
+// system snapshots (core/snapshot.hpp save_system payloads) as checkpoint
+// frames, and a footer indexes their (step, byte offset) pairs so replay
+// can restore any checkpoint in O(1) and continue from there
+// bit-identically. Full replays byte-compare the live state against every
+// embedded snapshot — each checkpoint is an extra observation point
 // between samples — and bisect_trace binary-searches the checkpoint index
 // to localize a divergence with O(log steps) restores instead of an
-// O(steps) replay per hypothesis. v1 traces (header + events only) stay
-// readable forever; the writer emits v2 only, and the checked-in v1
-// bench/corpus/corpus_000.trace is the backward-compat fixture.
+// O(steps) replay per hypothesis.
 //
 // The same file also defines the scenario CHECKPOINT format — the system
 // snapshot (core/snapshot.hpp) wrapped with the scenario driver's own
@@ -47,15 +45,16 @@
 
 namespace now::sim {
 
-// Version rules (DESIGN.md §10): the reader accepts every version in
-// [kTraceMinReadVersion, kTraceFormatVersion]; the writer always emits
-// kTraceFormatVersion. The header and event/sample/summary frame layouts
-// are FROZEN across v1/v2 — v2 only appends new frame kinds (checkpoint)
-// and a footer — so one replay loop serves both. Checkpoints embed a
-// save_system payload and follow every snapshot version bump.
-inline constexpr std::uint32_t kTraceFormatVersion = 2;
-inline constexpr std::uint32_t kTraceMinReadVersion = 1;
-inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
+// Version rules (DESIGN.md §10): the reader accepts exactly
+// kTraceFormatVersion, which the writer always emits; a file of any other
+// version fails with core::SnapshotError at the version check, never as a
+// replay divergence. Traces and scenario checkpoints embed save_system
+// payloads, so both versions follow every snapshot version bump.
+//   trace v1 — header + event/sample/summary frames;
+//   trace v2 — checkpoint frames + footer index;
+//   trace v3 — embedded snapshots are snapshot v3 (no PlanCache blob).
+inline constexpr std::uint32_t kTraceFormatVersion = 3;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /// Records a scenario into an in-memory trace; run_scenario drives it
 /// (attach as the system's TraceSink, call begin_step/record_sample/
@@ -111,8 +110,8 @@ struct ReplayOptions {
   /// override every batch with this count (the replay-level shard
   /// equivalence check).
   std::size_t shards_override = 0;
-  /// Index into trace_checkpoints() to restore and continue from
-  /// (v2 only); kReplayFromStart replays the whole trace.
+  /// Index into trace_checkpoints() to restore and continue from;
+  /// kReplayFromStart replays the whole trace.
   std::size_t start_checkpoint = kReplayFromStart;
 };
 
@@ -142,7 +141,7 @@ struct TraceReplayResult {
 };
 
 /// Re-drives a deployment from the trace and verifies every recorded
-/// invariant sample, every embedded checkpoint snapshot (v2, byte-exact)
+/// invariant sample, every embedded checkpoint snapshot (byte-exact)
 /// and the end-of-run summary. Throws core::SnapshotError on malformed
 /// files (bad footer, dangling checkpoint offsets, truncation);
 /// event/sample divergence is reported through the result instead (it
@@ -150,15 +149,15 @@ struct TraceReplayResult {
 [[nodiscard]] TraceReplayResult replay_trace(const std::string& path,
                                              const ReplayOptions& opts = {});
 
-/// One entry of a v2 trace's checkpoint footer.
+/// One entry of a trace's checkpoint footer.
 struct TraceCheckpointInfo {
   std::size_t step = 0;
   /// Byte offset of the checkpoint frame's tag within the payload.
   std::uint64_t offset = 0;
 };
 
-/// The checkpoint index from a trace's footer, in step order. Empty for
-/// v1 traces. Throws core::SnapshotError on a malformed footer.
+/// The checkpoint index from a trace's footer, in step order. Throws
+/// core::SnapshotError on a malformed footer.
 [[nodiscard]] std::vector<TraceCheckpointInfo> trace_checkpoints(
     const std::string& path);
 
@@ -205,7 +204,6 @@ struct TraceBisectResult {
 /// checkpoint that still replays clean — monotone because every clean
 /// probe byte-verifies the later embedded snapshots, pinning the suffix
 /// to the recorded trajectory. O(log steps) checkpoint restores total.
-/// Works (degenerately, zero restores) on v1 traces with no checkpoints.
 [[nodiscard]] TraceBisectResult bisect_trace(const std::string& path);
 
 /// Fault-injection for the replay verifier (the mutation tests): each

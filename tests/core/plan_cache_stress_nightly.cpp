@@ -1,7 +1,7 @@
 // Nightly large-n stress of the plan-phase machinery (DESIGN.md §11): a
-// million-node deployment churned through dirty-overlay batches, verifying
-// after every batch that the incrementally maintained PlanCache (dense
-// tables, neighborhood populations, alias dirty overlay) still matches a
+// million-node deployment churned through structure-preserving batches,
+// verifying after every batch that the incrementally maintained PlanCache
+// (dense tables, neighborhood populations, cluster sizes) still matches a
 // from-scratch rebuild, and that the epoch-stamped batch scratch keeps the
 // state invariants intact at a scale the tier-1 suite never reaches.
 //
@@ -30,8 +30,8 @@ TEST(PlanCacheStressNightly, MillionNodeChurnKeepsCacheConsistent) {
   ASSERT_TRUE(system.check().ok);
 
   // Size-neutral churn keeps the batches structure-preserving most of the
-  // time, so the alias sampler's dirty overlay absorbs thousands of
-  // per-slot deltas between rebuilds — the exact path the incremental
+  // time, so apply_size_deltas folds thousands of per-slot deltas into the
+  // carried cache between full rebuilds — the exact path the incremental
   // maintenance must keep exact.
   Rng victim_rng{4242};
   constexpr std::size_t kBatches = 12;

@@ -1,12 +1,14 @@
 // Tests for the persistent, incrementally maintained PlanCache
-// (core/plan_cache.hpp): exact |C|/n sampling through the dirty-overlay
-// alias sampler, incremental neighborhood maintenance, and the rebuild
-// thresholds.
+// (core/plan_cache.hpp): exact |C|/n sampling through the alias sampler,
+// incremental neighborhood maintenance, and equality of an incrementally
+// maintained cache with a fresh build.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -79,7 +81,6 @@ TEST(PlanCacheTest, FreshBuildIsConsistentAndSamplesExactly) {
   cache.build(fx.state, cache_params());
   EXPECT_TRUE(cache.consistent_with(fx.state));
   EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
-  EXPECT_TRUE(cache.dirty_list.empty());
   expect_size_biased_law(cache, 11, 200000);
 }
 
@@ -92,37 +93,27 @@ TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
   // the commit would hand the cache, then verify against a fresh rebuild
   // via the exhaustive consistency check (sizes, neighborhoods, tables).
   fx.grow(fx.ids[0], 12);
-  cache.apply_size_delta(fx.state, fx.state.slot_index(fx.ids[0]), 12);
   fx.shrink(fx.ids[3], 9);
-  cache.apply_size_delta(fx.state, fx.state.slot_index(fx.ids[3]), -9);
+  const std::vector<std::pair<std::size_t, std::int64_t>> deltas = {
+      {fx.state.slot_index(fx.ids[3]), -9},
+      {fx.state.slot_index(fx.ids[0]), 12}};
+  cache.apply_size_deltas(fx.state, deltas);
   EXPECT_TRUE(cache.consistent_with(fx.state));
   EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
 
-  // The dirty overlay is active (two entries, below the rebuild
-  // thresholds) and the sampler must realize the *current* law exactly.
-  EXPECT_EQ(cache.dirty_list.size(), 2u);
-  expect_size_biased_law(cache, 13, 200000);
-}
-
-TEST(PlanCacheTest, DirtyOverlayRebuildThresholdFires) {
-  // 40 clusters: dirtying more than 40/16 = 2 entries triggers the length
-  // threshold on the next maybe_rebuild_alias, clearing the overlay.
-  std::vector<std::size_t> sizes(40, 20);
-  Fixture fx{sizes};
-  PlanCache cache;
-  cache.build(fx.state, cache_params());
-  for (int i = 0; i < 4; ++i) {
-    fx.grow(fx.ids[static_cast<std::size_t>(i)], 1);
-    cache.apply_size_delta(
-        fx.state, fx.state.slot_index(fx.ids[static_cast<std::size_t>(i)]),
-        1);
+  // The cache keeps no history: its sampler is the one a fresh build over
+  // the current sizes makes, so both draw the same sequence, and that
+  // sequence realizes the *current* law exactly.
+  PlanCache fresh;
+  fresh.build(fx.state, cache_params());
+  EXPECT_EQ(cache.alias_threshold, fresh.alias_threshold);
+  EXPECT_EQ(cache.alias_index, fresh.alias_index);
+  Rng a{13};
+  Rng b{13};
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(cache.draw_biased(a), fresh.draw_biased(b)) << "draw " << i;
   }
-  EXPECT_EQ(cache.dirty_list.size(), 4u);
-  cache.maybe_rebuild_alias();
-  EXPECT_TRUE(cache.dirty_list.empty());
-  EXPECT_EQ(cache.table_total, cache.total_weight);
-  EXPECT_TRUE(cache.consistent_with(fx.state));
-  expect_size_biased_law(cache, 17, 100000);
+  expect_size_biased_law(cache, 13, 200000);
 }
 
 TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
@@ -137,7 +128,9 @@ TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
     before.push_back(cache.neighborhood(fx.state, c));
   }
   fx.grow(changed, 7);
-  cache.apply_size_delta(fx.state, fx.state.slot_index(changed), 7);
+  const std::pair<std::size_t, std::int64_t> delta{
+      fx.state.slot_index(changed), 7};
+  cache.apply_size_deltas(fx.state, {&delta, 1});
   for (std::size_t i = 0; i < fx.ids.size(); ++i) {
     const bool neighbor = fx.state.overlay.graph().has_edge(
         changed.value(), fx.ids[i].value());

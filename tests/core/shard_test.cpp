@@ -350,35 +350,36 @@ TEST(ShardTest, DenseBatchReplaysAreShardCountIndependent) {
   EXPECT_TRUE(systems[0]->check().ok);
 }
 
-TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {
-  // Same seed, same batches: one system keeps its PlanCache across batches
-  // (incremental maintenance), the other is forced to rebuild from scratch
-  // before every step. Every message charge the planners make flows
-  // through the cached aggregates (neighborhood populations, walk cost
-  // model, alias sampler), so any maintenance drift — a stale neighbor
-  // population, a missed size delta — shows up as diverging messages or
-  // partitions here. At this scale the batch dirties more than k/16
-  // entries, so the alias overlay rebuilds after each commit and both
-  // systems plan with a clean (two-uniform-draw) sampler: outcomes are
-  // exactly bitwise equal. (The dirty overlay's law is covered
-  // statistically in plan_cache_test.)
+/// Same seed, same batches: one system keeps its PlanCache across batches
+/// (incremental maintenance), the other is forced to rebuild from scratch
+/// before every step. Every message charge the planners make flows
+/// through the cached aggregates (neighborhood populations, walk cost
+/// model, alias sampler), and every partner pick draws from the alias
+/// table, so any maintenance drift — a stale neighbor population, a missed
+/// size delta, a sampler that differs from a fresh build — shows up as
+/// diverging messages or partitions here.
+void expect_incremental_matches_rebuild(const NowParams& params,
+                                        std::uint64_t seed,
+                                        std::uint64_t victim_seed,
+                                        std::size_t n0, std::size_t byz0,
+                                        std::size_t ops, int rounds) {
   Metrics metrics_inc;
   Metrics metrics_rebuild;
-  NowSystem incremental{shard_params(), metrics_inc, 91};
-  NowSystem rebuild{shard_params(), metrics_rebuild, 91};
-  incremental.initialize(900, 90, InitTopology::kModeledSparse);
-  rebuild.initialize(900, 90, InitTopology::kModeledSparse);
-  Rng victims_a{17};
-  Rng victims_b{17};
+  NowSystem incremental{params, metrics_inc, seed};
+  NowSystem rebuild{params, metrics_rebuild, seed};
+  incremental.initialize(n0, byz0, InitTopology::kModeledSparse);
+  rebuild.initialize(n0, byz0, InitTopology::kModeledSparse);
+  Rng victims_a{victim_seed};
+  Rng victims_b{victim_seed};
 
-  for (int round = 0; round < 5; ++round) {
-    const auto leaves_a = pick_victims(incremental, 7, victims_a);
-    const auto leaves_b = pick_victims(rebuild, 7, victims_b);
+  for (int round = 0; round < rounds; ++round) {
+    const auto leaves_a = pick_victims(incremental, ops, victims_a);
+    const auto leaves_b = pick_victims(rebuild, ops, victims_b);
     ASSERT_EQ(leaves_a, leaves_b);
     rebuild.invalidate_plan_cache();
     const auto [ja, ra] =
-        incremental.step_parallel_mixed(7, 1, leaves_a, 4);
-    const auto [jb, rb] = rebuild.step_parallel_mixed(7, 1, leaves_b, 4);
+        incremental.step_parallel_mixed(ops, 1, leaves_a, 4);
+    const auto [jb, rb] = rebuild.step_parallel_mixed(ops, 1, leaves_b, 4);
     ASSERT_EQ(ja, jb) << "round " << round;
     EXPECT_EQ(ra.cost.messages, rb.cost.messages) << "round " << round;
     EXPECT_EQ(ra.cost.rounds, rb.cost.rounds);
@@ -394,17 +395,28 @@ TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {
   EXPECT_TRUE(rebuild.check().ok);
 }
 
-TEST(ShardTest, DirtyAliasOverlayStaysShardCountIndependent) {
-  // Regression test: at a scale where a batch dirties fewer than k/16
-  // alias entries, the PlanCache dirty overlay SURVIVES into the next
-  // batch's planning and a size-biased partner draw can land in
-  // draw_biased's dirty branch — a linear scan of dirty_list, whose order
-  // is therefore observable. That order must be canonical: before the
-  // commit sorted its size deltas by slot, it followed stage 1's
-  // shard-count-dependent slot-block concatenation, and shards 1 vs 4
-  // diverged by thousands of node homes within two batches (the small
-  // deployments of the tests above never caught it, because there the
-  // k/16 threshold rebuilds the table after every batch).
+TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {
+  // Small k: most batches restructure, so the incremental cache rarely
+  // survives more than one batch.
+  expect_incremental_matches_rebuild(shard_params(), 91, 17, 900, 90, 7, 5);
+  // Large k (default k -> ~33-member clusters, ~600 of them, 4+4 ops per
+  // batch): batches rarely restructure, so the live cache is carried
+  // across many batches by apply_size_deltas and must keep drawing
+  // exactly like a fresh build.
+  NowParams large;
+  large.max_size = 1 << 15;
+  large.walk_mode = WalkMode::kSampleExact;
+  expect_incremental_matches_rebuild(large, 101, 101 ^ 5, 20000, 1500, 4,
+                                     6);
+}
+
+TEST(ShardTest, LargeKIncrementalBatchesStayShardCountIndependent) {
+  // At this scale a batch rarely restructures, so the PlanCache is carried
+  // across batches by apply_size_deltas, which receives the size deltas
+  // in the shard count's slot-block concatenation order. Every consumer of
+  // those deltas is order-independent, so shards 1 and 4 must agree on
+  // every node home after every batch. (The small deployments of the
+  // tests above restructure nearly every batch and rebuild the cache.)
   NowParams p;  // default k -> ~33-member clusters, ~600 of them
   p.max_size = 1 << 15;
   p.walk_mode = WalkMode::kSampleExact;

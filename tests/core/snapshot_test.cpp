@@ -3,11 +3,12 @@
 // BIT-IDENTICAL to the uninterrupted run — partitions, node homes, the
 // Byzantine ground truth, the system RNG's continued stream and the
 // invariant samples — across shard counts {1, 4, 8}; and malformed files
-// (wrong magic, unknown version, truncation, corruption, parameter drift)
-// must be rejected, never misparsed.
+// (wrong magic, unknown or previous version, truncation, corruption,
+// parameter drift) must be rejected, never misparsed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -182,18 +183,18 @@ TEST(SnapshotTest, LegacySequentialOpsContinueIdenticallyToo) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, DirtySamplerOverlaySurvivesTheRoundTrip) {
-  // At small scales every batch crosses the alias rebuild threshold, so
-  // the saved sampler state is trivial (clean table, empty dirty list).
-  // At this scale (~600 clusters, 4+4 ops/batch) the dirty overlay
-  // SURVIVES across batches and draw_biased's rejection pattern — and
-  // therefore every subsequent partner draw — depends on the exact stale
-  // weights and dirty-list order. Restoring must reproduce them verbatim;
-  // restore-then-continue diverges within two batches if it does not.
+TEST(SnapshotTest, LargeKRestoreRebuildsTheCacheTheSaverCarried) {
+  // At small scales nearly every batch restructures, so the saver's
+  // PlanCache was freshly built anyway. At this scale (~600 clusters, 4+4
+  // ops/batch) the saver carries its cache across batches incrementally,
+  // while the restored system starts with none and builds it from scratch
+  // on its first batch. Snapshots persist no cache state, so the two
+  // caches must draw identically: restore-then-continue stays
+  // bit-identical.
   NowParams p;  // default k -> ~33-member clusters, ~600 of them
   p.max_size = 1 << 15;
   p.walk_mode = WalkMode::kSampleExact;
-  const std::string path = temp_path("now_dirty.snap");
+  const std::string path = temp_path("now_large_k.snap");
   Metrics ma;
   Metrics mb;
   NowSystem a{p, ma, 101};
@@ -223,7 +224,7 @@ TEST(SnapshotTest, DirtySamplerOverlaySurvivesTheRoundTrip) {
     ASSERT_EQ(ja, jc) << "batch " << t;
     EXPECT_EQ(ra.cost.messages, rc.cost.messages) << "batch " << t;
   }
-  expect_identical(a, c, "dirty-overlay continuation");
+  expect_identical(a, c, "large-k continuation");
   std::remove(path.c_str());
 }
 
@@ -283,6 +284,37 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
 
   // A system that already ran must refuse to load over itself.
   EXPECT_THROW(system.load(path), SnapshotError);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, PreviousFormatVersionFailsAtTheVersionCheck) {
+  // A v2 file is intact and checksummed but still carries the PlanCache
+  // blob v3 dropped: it must fail as an unsupported version, never reach
+  // the payload parser.
+  const NowParams params = snapshot_params();
+  const std::string path = temp_path("now_v2.snap");
+  Metrics metrics;
+  NowSystem system{params, metrics, 9};
+  system.initialize(300, 30, InitTopology::kModeledSparse);
+  system.save(path);
+  SnapshotReader current = SnapshotReader::read_file(
+      path, "NOWSNAP1", kSnapshotFormatVersion, kSnapshotFormatVersion);
+  std::vector<std::uint8_t> payload(current.size());
+  current.bytes(payload.data(), payload.size());
+  SnapshotWriter restamped;
+  restamped.bytes(payload.data(), payload.size());
+  restamped.write_file(path, "NOWSNAP1", 2);
+
+  Metrics m;
+  NowSystem fresh{params, m, 9};
+  try {
+    fresh.load(path);
+    ADD_FAILURE() << "a v2 snapshot loaded";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 2"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

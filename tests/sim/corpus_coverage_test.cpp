@@ -198,8 +198,8 @@ TEST(CoverageTest, GeneratedCorpusStratifiesTheBehaviorAxes) {
 }
 
 TEST(CorpusTest, CheckedInCorpusReplaysClean) {
-  // Every checked-in trace (v1 and v2) must replay bit-identically: the
-  // recorded samples, summary and embedded snapshots all re-verify.
+  // Every checked-in trace must replay bit-identically: the recorded
+  // samples, summary and embedded snapshots all re-verify.
   std::vector<std::string> traces;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::string(NOW_SOURCE_DIR) + "/bench/corpus")) {

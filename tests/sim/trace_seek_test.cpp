@@ -1,8 +1,8 @@
-// Trace format v2 (DESIGN.md §10): embedded checkpoints + footer index +
+// Seekable traces (DESIGN.md §10): embedded checkpoints + footer index +
 // seekable replay. Covers the footer round trip, seek-restore-continue
-// bit-identity against the full replay (across shard counts), v1 backward
-// compatibility of the reader (the checked-in v1 corpus trace), and the
-// malformed-footer rejection paths.
+// bit-identity against the full replay (across shard counts), the
+// rejection of previous format versions, and the malformed-footer
+// rejection paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -114,7 +114,7 @@ TEST(TraceSeekTest, RecorderEmbedsCheckpointsAtRequestedCadence) {
   (void)record_trace(config, path);
 
   const TraceInfo info = trace_info(path);
-  EXPECT_EQ(info.version, 2u);
+  EXPECT_EQ(info.version, kTraceFormatVersion);
   EXPECT_EQ(info.steps, config.steps);
   EXPECT_EQ(info.tau, config.params.tau);
 
@@ -210,26 +210,34 @@ TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShards) {
   std::remove(path.c_str());
 }
 
-TEST(TraceSeekTest, V1TraceStaysReadableAndUnseekable) {
-  // The writer emits v2 only; the checked-in corpus_000.trace is a v1
-  // recording and keeps the v1 reader covered.
-  const std::string path =
-      std::string(NOW_SOURCE_DIR) + "/bench/corpus/corpus_000.trace";
-  const TraceInfo info = trace_info(path);
-  EXPECT_EQ(info.version, 1u);
-  EXPECT_EQ(info.checkpoint_count, 0u);
-  EXPECT_TRUE(trace_checkpoints(path).empty());
+TEST(TraceSeekTest, PreviousFormatVersionFailsAtTheVersionCheck) {
+  // A v2 trace is intact and checksummed, but its embedded checkpoints
+  // hold v2 snapshots: replaying it must fail as an unsupported version,
+  // not report the format change as a behavior divergence.
+  const std::string path = temp_path("seek_v2.trace");
+  (void)record_trace(batched_config(151), path);
+  core::SnapshotReader current = core::SnapshotReader::read_file(
+      path, "NOWTRAC1", kTraceFormatVersion, kTraceFormatVersion);
+  std::vector<std::uint8_t> payload(current.size());
+  current.bytes(payload.data(), payload.size());
+  core::SnapshotWriter restamped;
+  restamped.bytes(payload.data(), payload.size());
+  restamped.write_file(path, "NOWTRAC1", 2);
 
-  const TraceReplayResult replay = replay_trace(path);
-  ASSERT_TRUE(replay.ok) << replay.error;
-  EXPECT_EQ(replay.checkpoints_checked, 0u);
-  ASSERT_FALSE(replay.result.samples.empty());
-  EXPECT_EQ(replay.result.samples.back().step, info.steps);
-
-  // Seeking a v1 trace is a hard error, not a silent full replay.
-  ReplayOptions opts;
-  opts.start_checkpoint = 0;
-  EXPECT_THROW((void)replay_trace(path, opts), core::SnapshotError);
+  const auto expect_version_error = [&](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "a v2 trace was read";
+    } catch (const core::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version 2"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_version_error([&] { (void)replay_trace(path); });
+  expect_version_error([&] { (void)trace_info(path); });
+  expect_version_error([&] { (void)trace_checkpoints(path); });
+  std::remove(path.c_str());
 }
 
 TEST(TraceSeekTest, MalformedFootersAreRejectedNotMisparsed) {

@@ -12,8 +12,9 @@
 //       same fault plan, optionally crashing one worker which is then
 //       respawned and recovers from its checkpoint) — and verifies all
 //       three produce the IDENTICAL run digest. With --bench, writes
-//       BENCH_multiproc.json for the bench-regression gate. Exit 0 iff
-//       every deployment reproduced the reference digest.
+//       BENCH_multiproc.json for the bench-regression gate (digests,
+//       verdict, and the multi-process run's cost and wall time). Exit 0
+//       iff every deployment reproduced the reference digest.
 //
 //   now_shard worker --port=P --shard=S [same spec/fault flags]
 //                    [--crash-at=T]
@@ -312,7 +313,9 @@ int run_compare_mode(Options o) {
     std::filesystem::create_directories(o.obs_dir);
     now::obs::set_enabled(true);
   }
-  const ShardRunResult multi = run_multi_process(o, &respawns);
+  ShardRunResult multi;
+  const double multi_wall_ns = now::bench::time_ns(
+      [&] { multi = run_multi_process(o, &respawns); });
   if (!o.obs_dir.empty()) {
     now::obs::set_enabled(false);
     now::obs::write_obs_file(obs_path(o.obs_dir, "hub"), "hub");
@@ -350,7 +353,7 @@ int run_compare_mode(Options o) {
     json.add_scalar("verdict", n, ok ? 1.0 : 0.0);
     json.add("merged", multi.final_stats.num_nodes,
              static_cast<double>(multi.final_stats.messages),
-             static_cast<double>(multi.final_stats.rounds), 0.0);
+             static_cast<double>(multi.final_stats.rounds), multi_wall_ns);
   }
   return ok ? 0 : 1;
 }

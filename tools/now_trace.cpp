@@ -17,7 +17,7 @@
 //
 //   now_trace bisect FILE...
 //       Localizes a divergence with O(log steps) embedded-checkpoint
-//       restores (v2 traces). Prints the fork interval; exit 3 when a
+//       restores. Prints the fork interval; exit 3 when a
 //       divergence was found, 0 when the trace replays clean.
 //
 //   now_trace mutate IN OUT --kind={event|sample|summary} [--pick=N]
