@@ -123,7 +123,7 @@ struct OpReport {
   std::uint64_t stage2_ns = 0;
 };
 
-/// Opaque per-system batch-engine state (src/core/now.cpp): the persistent
+/// Opaque per-system batch-engine state (src/core/batch.cpp): the persistent
 /// incremental PlanCache, the per-cluster wave caches the wave scheduler
 /// reuses across time steps, and the commit engine's scratch buffers.
 struct BatchScratch;
@@ -264,8 +264,8 @@ class NowSystem {
   /// huge-batch tier.
   [[nodiscard]] std::size_t footprint_bytes() const;
 
-  /// Verifies the persistent PlanCache against a from-scratch rebuild
-  /// (sizes, neighborhoods, dense index tables). For the nightly
+  /// Verifies the persistent PlanCache against the live state (column
+  /// order, neighborhoods, alias mass per cluster). For the nightly
   /// large-n stress; O(k).
   [[nodiscard]] bool plan_cache_consistent() const;
 
@@ -302,7 +302,7 @@ class NowSystem {
   TraceSink* trace_sink_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Batch-engine state persisting across time steps (see now.cpp): the
+  // Batch-engine state persisting across time steps (see batch.cpp): the
   // incrementally maintained PlanCache, the per-cluster wave caches
   // (each cluster's swap/partner buffers, reused by the wave scheduler
   // across steps) and the per-slot / per-shard edit scratch.

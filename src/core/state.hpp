@@ -151,6 +151,12 @@ class NowState {
     return slot_of(id);
   }
 
+  /// Id of the live cluster in `slot` — the inverse of slot_index.
+  [[nodiscard]] ClusterId cluster_id_at_slot(std::size_t slot) const {
+    assert(slot < slots_.size() && slots_[slot].has_value());
+    return slots_[slot]->id();
+  }
+
   /// The shared membership arena (read-only).
   [[nodiscard]] const cluster::MemberSlab& member_slab() const {
     return *slab_;

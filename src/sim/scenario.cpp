@@ -243,14 +243,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
     result.final_byzantine = system.state().byzantine_total();
     result.total_compactions = system.state().member_slab().compaction_count();
   };
-  const auto checkpoint_now = [&](std::size_t step) {
-    save_scenario_checkpoint(
-        config, adversary, system, driver_rng, result, step,
-        splits_offset + metrics.operation_count(split_op) - splits_at_entry,
-        merges_offset + metrics.operation_count(merge_op) - merges_at_entry,
-        config.checkpoint_path);
-  };
-
   // Trace embedded-checkpoint cadence: auto mode targets ~8 checkpoints
   // across the horizon so bisection cost stays O(log steps) without
   // ballooning short traces.
@@ -302,19 +294,18 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
           merges_offset + metrics.operation_count(merge_op) - merges_at_entry,
           result);
     }
-    if (!config.checkpoint_path.empty()) {
-      if (config.halt_at == t) {
-        // Checkpoint-and-stop: the partial result reports the state at the
-        // halt; a --resume run completes the horizon bit-identically.
-        checkpoint_now(t);
-        system.set_trace_sink(nullptr);
-        result.halted_at_step = t;
-        finalize();
-        return result;
-      }
-      if (config.checkpoint_every > 0 && t % config.checkpoint_every == 0) {
-        checkpoint_now(t);
-      }
+    if (config.halt_at == t && !config.checkpoint_path.empty()) {
+      // Checkpoint-and-stop: the partial result reports the state at the
+      // halt; a --resume run completes the horizon bit-identically.
+      save_scenario_checkpoint(
+          config, adversary, system, driver_rng, result, t,
+          splits_offset + metrics.operation_count(split_op) - splits_at_entry,
+          merges_offset + metrics.operation_count(merge_op) - merges_at_entry,
+          config.checkpoint_path);
+      system.set_trace_sink(nullptr);
+      result.halted_at_step = t;
+      finalize();
+      return result;
     }
   }
 

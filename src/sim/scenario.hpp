@@ -69,16 +69,13 @@ struct ScenarioConfig {
 
   // ----------------------------- snapshots & traces (DESIGN.md §8)
 
-  /// Periodic checkpointing: every this many steps the full scenario state
+  /// Checkpoint-and-stop: after exactly this step the full scenario state
   /// (system snapshot + driver RNG + partial result + adversary state) is
-  /// written to checkpoint_path, without stopping. 0 disables.
-  std::size_t checkpoint_every = 0;
-  /// One-shot checkpoint-and-stop: after exactly this step the scenario
-  /// saves to checkpoint_path and returns the partial result
+  /// saved to checkpoint_path and the partial result returned
   /// (halted_at_step records the stop). 0 disables. The split long-run
   /// mode of bench_thm3_longrun --halt-at / --resume.
   std::size_t halt_at = 0;
-  /// Where checkpoints are written (required by the two knobs above).
+  /// Where the halt_at checkpoint is written (required by halt_at).
   std::string checkpoint_path;
   /// Resume from this checkpoint instead of initializing: the run
   /// continues at the saved step + 1 and is bit-identical to the

@@ -354,6 +354,7 @@ TraceReplayResult replay_trace(const std::string& path,
   };
 
   std::vector<NodeId> leaves;
+  std::vector<NodeId> sorted_leaves;
   bool saw_end = false;
   while (reader.pos() < body_end && replay.ok && !saw_end) {
     switch (reader.u8()) {
@@ -384,7 +385,16 @@ TraceReplayResult replay_trace(const std::string& path,
         break;
       }
       case kFrameBatch: {
+        // Only run_scenario writes batch frames: at most batch_ops joins
+        // and distinct leave victims. A frame breaking either rule is a
+        // malformed trace, not a divergence — the engine must never see it.
         const std::size_t joins = reader.u64();
+        if (joins > header.batch_ops) {
+          throw core::SnapshotError(
+              "batch frame records " + std::to_string(joins) +
+              " joins, more than the header's batch_ops " +
+              std::to_string(header.batch_ops) + ": " + path);
+        }
         const std::size_t byz_joins = reader.u64();
         const std::size_t shards = reader.u64();
         const std::uint64_t count = reader.count(8);
@@ -394,6 +404,15 @@ TraceReplayResult replay_trace(const std::string& path,
         for (std::uint64_t i = 0; i < count; ++i) {
           leaves.push_back(NodeId{reader.u64()});
           placed = placed && system.state().is_placed(leaves.back());
+        }
+        sorted_leaves.assign(leaves.begin(), leaves.end());
+        std::sort(sorted_leaves.begin(), sorted_leaves.end());
+        const auto twice = std::adjacent_find(sorted_leaves.begin(),
+                                              sorted_leaves.end());
+        if (twice != sorted_leaves.end()) {
+          throw core::SnapshotError("batch frame names leave victim " +
+                                    std::to_string(twice->value()) +
+                                    " twice: " + path);
         }
         if (!placed) {
           mismatch("batch names an unplaced leave victim");

@@ -29,8 +29,8 @@
 // The same file also defines the scenario CHECKPOINT format — the system
 // snapshot (core/snapshot.hpp) wrapped with the scenario driver's own
 // state (driver RNG, accumulated samples, adversary state) — which backs
-// ScenarioConfig::{checkpoint_every, halt_at, resume_from} and the
-// split long-run of bench_thm3_longrun.
+// ScenarioConfig::{halt_at, resume_from} and the split long-run of
+// bench_thm3_longrun.
 #pragma once
 
 #include <cstdint>
@@ -143,7 +143,9 @@ struct TraceReplayResult {
 /// Re-drives a deployment from the trace and verifies every recorded
 /// invariant sample, every embedded checkpoint snapshot (byte-exact)
 /// and the end-of-run summary. Throws core::SnapshotError on malformed
-/// files (bad footer, dangling checkpoint offsets, truncation);
+/// files (bad footer, dangling checkpoint offsets, truncation, a batch
+/// frame with more joins than the header's batch_ops or a repeated leave
+/// victim);
 /// event/sample divergence is reported through the result instead (it
 /// means behavior drifted, not that the file is damaged).
 [[nodiscard]] TraceReplayResult replay_trace(const std::string& path,

@@ -1,7 +1,7 @@
 // Tests for the persistent, incrementally maintained PlanCache
-// (core/plan_cache.hpp): exact |C|/n sampling through the alias sampler,
-// incremental neighborhood maintenance, and equality of an incrementally
-// maintained cache with a fresh build.
+// (core/plan_cache.hpp): exact |C|/n sampling per slot through the alias
+// sampler, incremental neighborhood maintenance, and equality of an
+// incrementally maintained cache with a fresh build.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -57,22 +57,32 @@ NowParams cache_params() {
   return p;
 }
 
-/// Draws `draws` samples and checks each cluster's frequency against its
-/// exact probability |C| / n within a 5-sigma binomial envelope.
-void expect_size_biased_law(const PlanCache& cache, std::uint64_t seed,
-                            std::size_t draws) {
+/// Draws `draws` samples and checks each cluster's slot frequency against
+/// its exact probability |C| / n within a 5-sigma binomial envelope; no
+/// draw may land on a slot that holds no live cluster.
+void expect_size_biased_law(const PlanCache& cache, const NowState& state,
+                            std::uint64_t seed, std::size_t draws) {
   Rng rng{seed};
-  std::vector<std::size_t> hits(cache.id_by_index.size(), 0);
-  for (std::size_t i = 0; i < draws; ++i) ++hits[cache.draw_biased(rng)];
-  const double n = static_cast<double>(cache.total_weight);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    const double p = static_cast<double>(cache.current_weight[i]) / n;
+  std::vector<std::size_t> hits(state.slot_count(), 0);
+  for (std::size_t i = 0; i < draws; ++i) {
+    const std::uint32_t slot = cache.draw_biased(rng);
+    ASSERT_LT(slot, hits.size()) << "draw " << i;
+    ++hits[slot];
+  }
+  const double n = static_cast<double>(state.num_nodes());
+  std::size_t live_hits = 0;
+  for (const ClusterId c : state.cluster_ids()) {
+    const std::size_t slot = state.slot_index(c);
+    const std::size_t size = state.cluster_at(c).size();
+    const double p = static_cast<double>(size) / n;
     const double expected = p * static_cast<double>(draws);
     const double sigma =
         std::sqrt(static_cast<double>(draws) * p * (1.0 - p));
-    EXPECT_NEAR(static_cast<double>(hits[i]), expected, 5.0 * sigma + 1.0)
-        << "cluster index " << i << " weight " << cache.current_weight[i];
+    EXPECT_NEAR(static_cast<double>(hits[slot]), expected, 5.0 * sigma + 1.0)
+        << "cluster slot " << slot << " size " << size;
+    live_hits += hits[slot];
   }
+  EXPECT_EQ(live_hits, draws);
 }
 
 TEST(PlanCacheTest, FreshBuildIsConsistentAndSamplesExactly) {
@@ -81,7 +91,7 @@ TEST(PlanCacheTest, FreshBuildIsConsistentAndSamplesExactly) {
   cache.build(fx.state, cache_params());
   EXPECT_TRUE(cache.consistent_with(fx.state));
   EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
-  expect_size_biased_law(cache, 11, 200000);
+  expect_size_biased_law(cache, fx.state, 11, 200000);
 }
 
 TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
@@ -91,7 +101,8 @@ TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
 
   // Grow cluster 0 by 12, shrink cluster 3 by 9 — apply the same deltas
   // the commit would hand the cache, then verify against a fresh rebuild
-  // via the exhaustive consistency check (sizes, neighborhoods, tables).
+  // via the exhaustive consistency check (column order, neighborhoods,
+  // alias mass per cluster).
   fx.grow(fx.ids[0], 12);
   fx.shrink(fx.ids[3], 9);
   const std::vector<std::pair<std::size_t, std::int64_t>> deltas = {
@@ -106,14 +117,17 @@ TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
   // sequence realizes the *current* law exactly.
   PlanCache fresh;
   fresh.build(fx.state, cache_params());
+  EXPECT_EQ(cache.column_slot, fresh.column_slot);
+  EXPECT_EQ(cache.neighborhood_by_slot, fresh.neighborhood_by_slot);
   EXPECT_EQ(cache.alias_threshold, fresh.alias_threshold);
-  EXPECT_EQ(cache.alias_index, fresh.alias_index);
+  EXPECT_EQ(cache.alias_slot, fresh.alias_slot);
+  EXPECT_EQ(cache.total_weight, fresh.total_weight);
   Rng a{13};
   Rng b{13};
   for (int i = 0; i < 1000; ++i) {
     ASSERT_EQ(cache.draw_biased(a), fresh.draw_biased(b)) << "draw " << i;
   }
-  expect_size_biased_law(cache, 13, 200000);
+  expect_size_biased_law(cache, fx.state, 13, 200000);
 }
 
 TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
@@ -125,7 +139,7 @@ TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
   const ClusterId changed = fx.ids[1];
   std::vector<std::uint64_t> before;
   for (const ClusterId c : fx.ids) {
-    before.push_back(cache.neighborhood(fx.state, c));
+    before.push_back(cache.neighborhood_by_slot[fx.state.slot_index(c)]);
   }
   fx.grow(changed, 7);
   const std::pair<std::size_t, std::int64_t> delta{
@@ -134,7 +148,7 @@ TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
   for (std::size_t i = 0; i < fx.ids.size(); ++i) {
     const bool neighbor = fx.state.overlay.graph().has_edge(
         changed.value(), fx.ids[i].value());
-    EXPECT_EQ(cache.neighborhood(fx.state, fx.ids[i]),
+    EXPECT_EQ(cache.neighborhood_by_slot[fx.state.slot_index(fx.ids[i])],
               before[i] + (neighbor ? 7u : 0u))
         << "cluster " << i;
   }

@@ -55,59 +55,69 @@ TEST(ShardTest, ShardCountDoesNotChangeResults) {
   // snapshot and per-op/per-wave derived RNG streams, the wave list is
   // collected in canonical cluster order, and the commit resolves every
   // move in canonical order. Three seeds, mixed batches: joins, leaves and
-  // a Byzantine fraction of the joiners in every round.
-  for (const std::uint64_t seed : {11ull, 29ull, 47ull}) {
-    constexpr std::size_t kShardAxis[] = {1, 4, 8};
-    std::vector<std::unique_ptr<Metrics>> metrics;
-    std::vector<std::unique_ptr<NowSystem>> systems;
-    std::vector<Rng> victim_rngs;
-    for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
-      metrics.push_back(std::make_unique<Metrics>());
-      systems.push_back(
-          std::make_unique<NowSystem>(shard_params(), *metrics.back(), seed));
-      systems.back()->initialize(1200, 120, InitTopology::kModeledSparse);
-      victim_rngs.emplace_back(seed ^ 99);
-    }
-
-    for (int round = 0; round < 4; ++round) {
-      // Mixed batch: 14 joins of which `round` are Byzantine, 10 leaves.
-      const std::size_t byz_joins = static_cast<std::size_t>(round);
-      std::vector<std::vector<NodeId>> joined(std::size(kShardAxis));
-      std::vector<OpReport> reports(std::size(kShardAxis));
+  // a Byzantine fraction of the joiners in every round. Both walk modes:
+  // kSampleExact draws partners through the PlanCache alias sampler,
+  // kSimulate walks hop by hop against the snapshot.
+  for (const WalkMode mode : {WalkMode::kSampleExact, WalkMode::kSimulate}) {
+    NowParams params = shard_params();
+    params.walk_mode = mode;
+    for (const std::uint64_t seed : {11ull, 29ull, 47ull}) {
+      SCOPED_TRACE(testing::Message()
+                   << "walk mode " << static_cast<int>(mode) << " seed "
+                   << seed);
+      constexpr std::size_t kShardAxis[] = {1, 4, 8};
+      std::vector<std::unique_ptr<Metrics>> metrics;
+      std::vector<std::unique_ptr<NowSystem>> systems;
+      std::vector<Rng> victim_rngs;
       for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
-        const auto leaves = pick_victims(*systems[v], 10, victim_rngs[v]);
-        std::tie(joined[v], reports[v]) = systems[v]->step_parallel_mixed(
-            14, byz_joins, leaves, kShardAxis[v]);
+        metrics.push_back(std::make_unique<Metrics>());
+        systems.push_back(
+            std::make_unique<NowSystem>(params, *metrics.back(), seed));
+        systems.back()->initialize(1200, 120, InitTopology::kModeledSparse);
+        victim_rngs.emplace_back(seed ^ 99);
       }
-      for (std::size_t v = 1; v < std::size(kShardAxis); ++v) {
-        ASSERT_EQ(joined[0], joined[v])
-            << "seed " << seed << " round " << round << " shards "
-            << kShardAxis[v];
-        EXPECT_EQ(reports[0].splits, reports[v].splits);
-        EXPECT_EQ(reports[0].merges, reports[v].merges);
-        EXPECT_EQ(reports[0].conflicts, reports[v].conflicts);
-        EXPECT_EQ(reports[0].wave_count, reports[v].wave_count);
-        EXPECT_EQ(reports[0].cost.rounds, reports[v].cost.rounds);
-      }
-      EXPECT_GT(reports[0].wave_count, 0u);
-    }
 
-    for (std::size_t v = 1; v < std::size(kShardAxis); ++v) {
-      EXPECT_EQ(systems[0]->num_nodes(), systems[v]->num_nodes());
-      EXPECT_EQ(partition_signature(*systems[0]),
-                partition_signature(*systems[v]));
-      for (const NodeId node : systems[0]->state().live_nodes()) {
-        ASSERT_EQ(systems[0]->state().home_of(node),
-                  systems[v]->state().home_of(node))
-            << "seed " << seed << " shards " << kShardAxis[v];
-        EXPECT_EQ(systems[0]->state().byzantine.contains(node),
-                  systems[v]->state().byzantine.contains(node));
+      for (int round = 0; round < 4; ++round) {
+        // Mixed batch: 14 joins of which `round` are Byzantine, 10 leaves.
+        const std::size_t byz_joins = static_cast<std::size_t>(round);
+        std::vector<std::vector<NodeId>> joined(std::size(kShardAxis));
+        std::vector<OpReport> reports(std::size(kShardAxis));
+        for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
+          const auto leaves = pick_victims(*systems[v], 10, victim_rngs[v]);
+          std::tie(joined[v], reports[v]) = systems[v]->step_parallel_mixed(
+              14, byz_joins, leaves, kShardAxis[v]);
+        }
+        for (std::size_t v = 1; v < std::size(kShardAxis); ++v) {
+          ASSERT_EQ(joined[0], joined[v])
+              << "seed " << seed << " round " << round << " shards "
+              << kShardAxis[v];
+          EXPECT_EQ(reports[0].splits, reports[v].splits);
+          EXPECT_EQ(reports[0].merges, reports[v].merges);
+          EXPECT_EQ(reports[0].conflicts, reports[v].conflicts);
+          EXPECT_EQ(reports[0].wave_count, reports[v].wave_count);
+          EXPECT_EQ(reports[0].cost.rounds, reports[v].cost.rounds);
+          EXPECT_EQ(reports[0].cost.messages, reports[v].cost.messages);
+        }
+        EXPECT_GT(reports[0].wave_count, 0u);
       }
-      EXPECT_EQ(systems[0]->state().byzantine.size(),
-                systems[v]->state().byzantine.size());
-      EXPECT_TRUE(systems[v]->check().ok);
+
+      for (std::size_t v = 1; v < std::size(kShardAxis); ++v) {
+        EXPECT_EQ(systems[0]->num_nodes(), systems[v]->num_nodes());
+        EXPECT_EQ(partition_signature(*systems[0]),
+                  partition_signature(*systems[v]));
+        for (const NodeId node : systems[0]->state().live_nodes()) {
+          ASSERT_EQ(systems[0]->state().home_of(node),
+                    systems[v]->state().home_of(node))
+              << "seed " << seed << " shards " << kShardAxis[v];
+          EXPECT_EQ(systems[0]->state().byzantine.contains(node),
+                    systems[v]->state().byzantine.contains(node));
+        }
+        EXPECT_EQ(systems[0]->state().byzantine.size(),
+                  systems[v]->state().byzantine.size());
+        EXPECT_TRUE(systems[v]->check().ok);
+      }
+      EXPECT_TRUE(systems[0]->check().ok);
     }
-    EXPECT_TRUE(systems[0]->check().ok);
   }
 }
 

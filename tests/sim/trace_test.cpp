@@ -5,6 +5,9 @@
 // determinism + shrink behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -142,6 +145,84 @@ TEST(TraceTest, ReplayDetectsInjectedDivergence) {
   std::remove(path.c_str());
 }
 
+/// Little-endian bytes of `value`, the trace's integer encoding.
+std::vector<std::uint8_t> le_bytes(std::uint64_t value) {
+  std::vector<std::uint8_t> bytes(8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return bytes;
+}
+
+TEST(TraceTest, MalformedBatchFramesAreRejectedNotReplayed) {
+  // Only run_scenario writes batch frames: at most batch_ops joins and
+  // distinct leave victims. A re-stamped trace (intact checksum) whose
+  // batch frame breaks either rule is malformed: replay must throw
+  // SnapshotError before the engine runs the batch — a repeated victim
+  // used to reach the commit and throw std::invalid_argument mid-apply.
+  const std::string path = temp_path("now_malformed_batch.trace");
+  const ScenarioConfig config = batched_config(37);
+  Metrics metrics;
+  core::NowSystem system{config.params, metrics, config.seed};
+  system.initialize(config.n0, 80, config.topology);
+  TraceRecorder recorder{config, config.n0, 80, "manual"};
+  system.set_trace_sink(&recorder);
+  Rng driver{config.seed};
+  recorder.begin_step(1);
+  const auto victims = system.state().sample_distinct_nodes(driver, 2);
+  system.step_parallel_mixed(4, 1, victims, 2);
+  system.set_trace_sink(nullptr);
+  recorder.finish(ScenarioResult{}, path);
+
+  core::SnapshotReader reader = core::SnapshotReader::read_file(
+      path, "NOWTRAC1", kTraceFormatVersion, kTraceFormatVersion);
+  std::vector<std::uint8_t> pristine(reader.size());
+  reader.bytes(pristine.data(), pristine.size());
+  // The frame's tail: joins, byz_joins, shards, victim count, victims.
+  std::vector<std::uint8_t> tail;
+  for (const std::uint64_t field :
+       {std::uint64_t{4}, std::uint64_t{1}, std::uint64_t{2},
+        std::uint64_t{2}, victims[0].value(), victims[1].value()}) {
+    const std::vector<std::uint8_t> bytes = le_bytes(field);
+    tail.insert(tail.end(), bytes.begin(), bytes.end());
+  }
+  const auto frame =
+      std::search(pristine.begin(), pristine.end(), tail.begin(), tail.end());
+  ASSERT_NE(frame, pristine.end());
+  const std::size_t joins_at =
+      static_cast<std::size_t>(frame - pristine.begin());
+  const std::size_t second_victim_at = joins_at + 5 * 8;
+
+  const auto expect_rejected = [&](std::size_t offset, std::uint64_t value,
+                                   const std::string& message) {
+    std::vector<std::uint8_t> payload = pristine;
+    const std::vector<std::uint8_t> bytes = le_bytes(value);
+    std::copy(bytes.begin(), bytes.end(),
+              payload.begin() + static_cast<std::ptrdiff_t>(offset));
+    core::SnapshotWriter restamped;
+    restamped.bytes(payload.data(), payload.size());
+    restamped.write_file(path, "NOWTRAC1", kTraceFormatVersion);
+    try {
+      (void)replay_trace(path);
+      ADD_FAILURE() << "replayed a frame that should fail: " << message;
+    } catch (const core::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(second_victim_at, victims[0].value(),
+                  "names leave victim " +
+                      std::to_string(victims[0].value()) + " twice");
+  expect_rejected(joins_at, config.batch_ops + 1,
+                  "more than the header's batch_ops");
+  // The untouched frame is well-formed: it replays without throwing.
+  core::SnapshotWriter restamped;
+  restamped.bytes(pristine.data(), pristine.size());
+  restamped.write_file(path, "NOWTRAC1", kTraceFormatVersion);
+  EXPECT_NO_THROW((void)replay_trace(path));
+  std::remove(path.c_str());
+}
+
 TEST(TraceTest, HaltAndResumeMatchesUninterruptedBatchedRun) {
   const std::string ckpt = temp_path("now_batched.ckpt");
   const ScenarioConfig base = batched_config(47);
@@ -197,7 +278,6 @@ TEST(TraceTest, HaltAndResumeMatchesUninterruptedAdversaryRun) {
 
   ScenarioConfig halted = base;
   halted.checkpoint_path = ckpt;
-  halted.checkpoint_every = 10;
   halted.halt_at = 30;
   Metrics metrics_half;
   adversary::JoinLeaveAdversary adv_half{
