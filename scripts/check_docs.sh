@@ -3,10 +3,11 @@
 #   * every `bench_<name>` mentioned in README.md or EXPERIMENTS.md must
 #     exist as bench/bench_<name>.cpp (CMake globs that directory, so file
 #     existence == build target existence);
-#   * every `NowSystem::<name>` and `step_parallel*` token in README.md,
-#     DESIGN.md or EXPERIMENTS.md must be declared in src/core/now.hpp,
-#     and every `PlanCache::<name>` in src/core/plan_cache.hpp (outside
-#     comments), so the docs cannot name a deleted entry point or member;
+#   * every `Type::<name>` in README.md, DESIGN.md or EXPERIMENTS.md, for
+#     each type of the member table below (NowSystem, NowState, PlanCache,
+#     FenwickTree, ReplayOptions), and every `step_parallel*` token, must
+#     be declared in that type's header (outside comments), so the docs
+#     cannot name a deleted entry point or member;
 #   * every repo path those three docs name under src/, tools/, tests/,
 #     scripts/ or bench/ must exist (brace lists expanded; a glob needs its
 #     directory; a tool or bench named without its .cpp needs the source);
@@ -34,15 +35,26 @@ for doc in README.md EXPERIMENTS.md; do
   done
 done
 
-# check_members HEADER REFS PREFIX DECL: every REFS token in the docs,
-# PREFIX stripped, must appear in HEADER (outside comments) followed by
-# the DECL pattern.
-check_members() {
-  local header=$1 refs=$2 prefix=$3 decl=$4 declared doc names name
+# The member table: TYPE HEADER KIND. KIND `function` requires a `(`
+# after the name; `member` accepts a function or a field.
+member_table='
+NowSystem     src/core/now.hpp         function
+NowState      src/core/state.hpp       member
+PlanCache     src/core/plan_cache.hpp  member
+FenwickTree   src/common/fenwick.hpp   member
+ReplayOptions src/sim/trace.hpp        member
+'
+while read -r type header kind; do
+  [ -n "$type" ] || continue
+  refs="${type}::[A-Za-z_][A-Za-z0-9_]*"
+  # step_parallel* entry points are NowSystem members named bare too.
+  [ "$type" = NowSystem ] && refs+='|step_parallel[A-Za-z0-9_]*'
+  decl='([^A-Za-z0-9_]|$)'
+  [ "$kind" = function ] && decl='\('
   declared=$(grep -vE '^[[:space:]]*//' "$header")
   for doc in README.md DESIGN.md EXPERIMENTS.md; do
     [ -f "$doc" ] || { echo "missing $doc" >&2; status=1; continue; }
-    names=$(grep -oE "$refs" "$doc" | sed "s/^${prefix}//" | sort -u \
+    names=$(grep -oE "$refs" "$doc" | sed "s/^${type}:://" | sort -u \
               || true)
     for name in $names; do
       if ! grep -qE "(^|[^A-Za-z0-9_])${name}${decl}" <<<"$declared"; then
@@ -51,14 +63,7 @@ check_members() {
       fi
     done
   done
-}
-# NowSystem members and step_parallel* must be declared as functions;
-# PlanCache members may be functions or fields.
-check_members src/core/now.hpp \
-  'NowSystem::[A-Za-z_][A-Za-z0-9_]*|step_parallel[A-Za-z0-9_]*' \
-  'NowSystem::' '\('
-check_members src/core/plan_cache.hpp 'PlanCache::[A-Za-z_][A-Za-z0-9_]*' \
-  'PlanCache::' '([^A-Za-z0-9_]|$)'
+done <<<"$member_table"
 
 # path_exists PATH: the path exists, or names a target built from
 # PATH.cpp; a glob only needs the directory before its first wildcard.
@@ -116,7 +121,7 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
 done
 
 if [ "$status" -eq 0 ]; then
-  echo "docs check passed: every referenced bench target, NowSystem and" \
-       "PlanCache member, repo path and ScenarioConfig field exists"
+  echo "docs check passed: every referenced bench target, member of the" \
+       "member table, repo path and ScenarioConfig field exists"
 fi
 exit "$status"

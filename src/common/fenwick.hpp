@@ -12,15 +12,12 @@
 // never written concurrently.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
-
-#include "common/thread_pool.hpp"
 
 namespace now {
 
@@ -66,13 +63,10 @@ class FenwickTree {
   /// the O(log k) point-update path; once the batch is large enough that
   /// point updates would cost more than rebuilding, the whole prefix-sum
   /// tree is rebuilt in one O(k) pass — the merge step of the sharded batch
-  /// commit, where every shard's delta array lands here at once.
-  /// When `pool` is non-null the rebuild branch runs as a blocked
-  /// shard-parallel build (see rebuild_blocked); the point-update branch and
-  /// the resulting tree are identical either way.
+  /// commit, where every shard's delta array lands here at once. Both
+  /// branches leave the identical tree.
   void apply_deltas(
-      std::span<const std::pair<std::size_t, std::int64_t>> deltas,
-      ThreadPool* pool = nullptr, std::size_t blocks = 1) {
+      std::span<const std::pair<std::size_t, std::int64_t>> deltas) {
     const std::size_t logk =
         std::bit_width(values_.size() | std::size_t{1});
     if (deltas.size() * logk < values_.size()) {
@@ -91,12 +85,7 @@ class FenwickTree {
              values_[index] >= static_cast<std::uint64_t>(-delta));
       values_[index] += static_cast<std::uint64_t>(delta);  // wraps as signed
     }
-    if (pool != nullptr && blocks > 1 &&
-        values_.size() >= kParallelRebuildMin) {
-      rebuild_blocked(*pool, blocks);
-    } else {
-      rebuild();
-    }
+    rebuild();
   }
 
   /// Sum of values at indices [0, count).
@@ -126,26 +115,12 @@ class FenwickTree {
     return pos;
   }
 
-  /// Resident bytes: value mirror, tree and the blocked-rebuild scratch.
+  /// Resident bytes: value mirror and tree.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return (values_.capacity() + tree_.capacity() + prefix_.capacity()) *
-           sizeof(std::uint64_t);
-  }
-
-  /// Bulk rebuild from current values with an explicit pool — the parallel
-  /// twin of resize()'s implicit rebuild, exposed for tests.
-  void rebuild_bulk(ThreadPool& pool, std::size_t blocks) {
-    if (blocks > 1 && values_.size() >= kParallelRebuildMin) {
-      rebuild_blocked(pool, blocks);
-    } else {
-      rebuild();
-    }
+    return (values_.capacity() + tree_.capacity()) * sizeof(std::uint64_t);
   }
 
  private:
-  // Below this size the sequential O(k) pass wins over fork-join overhead.
-  static constexpr std::size_t kParallelRebuildMin = 4096;
-
   void rebuild() {
     tree_.assign(values_.size() + 1, 0);
     total_ = 0;
@@ -157,53 +132,8 @@ class FenwickTree {
     }
   }
 
-  /// Blocked shard-parallel rebuild. The sequential rebuild's invariant is
-  /// tree_[i] = sum of values_[j-1] for j in (i - lowbit(i), i], which is
-  /// P[i] - P[i - lowbit(i)] for the inclusive prefix-sum array P. Both P
-  /// (two-pass blocked scan: per-block totals, sequential offset scan,
-  /// parallel fill) and the tree fill are exact unsigned-integer sums, so
-  /// the result is bit-identical to rebuild() for every block count.
-  void rebuild_blocked(ThreadPool& pool, std::size_t blocks) {
-    const std::size_t n = values_.size();
-    blocks =
-        std::min(blocks, (n + kParallelRebuildMin - 1) / kParallelRebuildMin);
-    if (blocks < 2) {
-      rebuild();
-      return;
-    }
-    prefix_.resize(n + 1);
-    prefix_[0] = 0;
-    std::vector<std::uint64_t> block_total(blocks, 0);
-    const auto lo_of = [&](std::size_t b) { return b * n / blocks; };
-    pool.parallel_for(blocks, [&](std::size_t b) {
-      std::uint64_t sum = 0;
-      for (std::size_t i = lo_of(b); i < lo_of(b + 1); ++i) sum += values_[i];
-      block_total[b] = sum;
-    });
-    std::vector<std::uint64_t> base(blocks, 0);
-    for (std::size_t b = 1; b < blocks; ++b) {
-      base[b] = base[b - 1] + block_total[b - 1];
-    }
-    total_ = base[blocks - 1] + block_total[blocks - 1];
-    pool.parallel_for(blocks, [&](std::size_t b) {
-      std::uint64_t running = base[b];
-      for (std::size_t i = lo_of(b); i < lo_of(b + 1); ++i) {
-        running += values_[i];
-        prefix_[i + 1] = running;
-      }
-    });
-    tree_.resize(n + 1);
-    tree_[0] = 0;
-    pool.parallel_for(blocks, [&](std::size_t b) {
-      for (std::size_t i = lo_of(b) + 1; i <= lo_of(b + 1); ++i) {
-        tree_[i] = prefix_[i] - prefix_[i & (i - 1)];
-      }
-    });
-  }
-
   std::vector<std::uint64_t> values_;
-  std::vector<std::uint64_t> tree_;    // 1-indexed
-  std::vector<std::uint64_t> prefix_;  // scratch for rebuild_blocked
+  std::vector<std::uint64_t> tree_;  // 1-indexed
   std::uint64_t total_ = 0;
 };
 

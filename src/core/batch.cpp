@@ -483,7 +483,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   assert(byzantine_joins <= joins);
   shards = std::max<std::size_t>(1, shards);
   if (trace_sink_ != nullptr) {
-    trace_sink_->on_batch(joins, byzantine_joins, leaves, shards);
+    trace_sink_->on_batch(joins, byzantine_joins, leaves);
   }
   OpScope scope(metrics_, "batch");
   OpReport combined;
@@ -772,8 +772,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     // The concatenation order depends on the shard count's slot-block
     // partition; every consumer (Fenwick adds, PlanCache patches) is
     // order-independent, and slots are unique per batch (one owner each).
-    const bool pooled = pool.worker_count() > 0 && shards > 1;
-    state_.apply_size_deltas(all_deltas, pooled ? &pool : nullptr, shards);
+    state_.apply_size_deltas(all_deltas);
     state_.adjust_placed_count(static_cast<std::int64_t>(joins) -
                                static_cast<std::int64_t>(leaves.size()));
     for (const ClusterId c : candidates) {

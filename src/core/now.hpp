@@ -145,9 +145,9 @@ class TraceSink {
   /// A sequential leave of `node` is about to run.
   virtual void on_leave(NodeId node) = 0;
   /// A step_parallel_mixed batch is about to run with these exact inputs.
+  /// The shard count is not an input: results do not depend on it.
   virtual void on_batch(std::size_t joins, std::size_t byzantine_joins,
-                        const std::vector<NodeId>& leaves,
-                        std::size_t shards) = 0;
+                        const std::vector<NodeId>& leaves) = 0;
 };
 
 class NowSystem {

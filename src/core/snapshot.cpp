@@ -347,17 +347,24 @@ NowParams read_params(SnapshotReader& r) {
   NowParams p;
   p.max_size = r.u64();
   p.tau = r.f64();
-  p.k = static_cast<int>(r.i64());
+  const std::int64_t k = r.i64();
+  if (k < 1 || k > std::numeric_limits<int>::max()) {
+    throw SnapshotError("params k " + std::to_string(k) +
+                        " is not a positive int");
+  }
+  p.k = static_cast<int>(k);
   p.l = r.f64();
   p.alpha = r.f64();
   p.over_degree_constant = r.f64();
   p.over_cap_factor = r.f64();
   p.walk_factor = r.f64();
-  p.walk_mode = static_cast<WalkMode>(r.u32());
-  p.merge_policy = static_cast<MergePolicy>(r.u32());
-  p.rand_num_mode = static_cast<cluster::RandNumMode>(r.u32());
-  p.robustness = static_cast<Robustness>(r.u32());
-  p.threshold_mode = static_cast<ThresholdMode>(r.u32());
+  p.walk_mode = read_enum(r, WalkMode::kSampleExact, "walk_mode");
+  p.merge_policy = read_enum(r, MergePolicy::kAbsorb, "merge_policy");
+  p.rand_num_mode =
+      read_enum(r, cluster::RandNumMode::kRobust, "rand_num_mode");
+  p.robustness = read_enum(r, Robustness::kAuthenticated, "robustness");
+  p.threshold_mode =
+      read_enum(r, ThresholdMode::kDynamicCurrentN, "threshold_mode");
   p.shuffle_enabled = r.u8() != 0;
   return p;
 }

@@ -29,6 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -172,18 +173,16 @@ class SnapshotReader {
     return payload_.size() - pos_;
   }
 
-  // Random access within the payload — the seekable-trace machinery
-  // (sim/trace.hpp): a trace footer records byte offsets of embedded
-  // checkpoint frames and replay jumps straight to one. Offsets are
-  // validated here so a corrupt footer fails as SnapshotError, never as an
-  // out-of-range read.
-  [[nodiscard]] std::uint64_t pos() const { return pos_; }
   [[nodiscard]] std::uint64_t size() const { return payload_.size(); }
-  void seek(std::uint64_t pos) {
-    if (pos > payload_.size()) {
-      throw SnapshotError("seek offset past end of payload");
-    }
-    pos_ = static_cast<std::size_t>(pos);
+
+  /// Bounds-checked view of the next `size` payload bytes, skipped without
+  /// copying (a trace's embedded snapshots). Valid while the reader lives.
+  std::span<const std::uint8_t> view(std::uint64_t size) {
+    need(size);
+    const std::span<const std::uint8_t> out{payload_.data() + pos_,
+                                            static_cast<std::size_t>(size)};
+    pos_ += static_cast<std::size_t>(size);
+    return out;
   }
 
  private:
@@ -207,8 +206,22 @@ class SnapshotReader {
 /// Serializes the behavior-relevant NowParams fields.
 void save_params(const NowParams& params, SnapshotWriter& writer);
 
-/// Reads params written by save_params.
+/// Reads params written by save_params. Throws SnapshotError for params
+/// no NowSystem accepts: k < 1 or an enum value outside its enum.
 [[nodiscard]] NowParams read_params(SnapshotReader& reader);
+
+/// Reads a u32-encoded enum, throwing SnapshotError unless it is one of
+/// E's enumerators 0..last (`field` names it in the error).
+template <typename E>
+[[nodiscard]] E read_enum(SnapshotReader& reader, E last,
+                          std::string_view field) {
+  const std::uint32_t value = reader.u32();
+  if (value > static_cast<std::uint32_t>(last)) {
+    throw SnapshotError(std::string(field) + " " + std::to_string(value) +
+                        " is not a valid enum value");
+  }
+  return static_cast<E>(value);
+}
 
 /// Reads params and throws SnapshotError naming the first field that
 /// differs from `expected` (snapshots restore into a same-params system).

@@ -56,7 +56,6 @@
 #include "common/node_set.hpp"
 #include "common/paged_index.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "over/overlay.hpp"
 
@@ -338,12 +337,8 @@ class NowState {
   /// Stage 2: folds the per-shard signed size deltas into the Fenwick
   /// mirror (slots must be live; a slot appears at most once per call since
   /// each slot is owned by exactly one shard).
-  /// When `pool` is non-null the rebuild branch (delta count ~ slot count)
-  /// runs the blocked shard-parallel Fenwick build — bit-identical to the
-  /// sequential one (see FenwickTree::apply_deltas).
   void apply_size_deltas(
-      std::span<const std::pair<std::size_t, std::int64_t>> deltas,
-      ThreadPool* pool = nullptr, std::size_t blocks = 1) {
+      std::span<const std::pair<std::size_t, std::int64_t>> deltas) {
 #ifndef NDEBUG
     for (const auto& [slot, delta] : deltas) {
       assert(slot < slots_.size() && slots_[slot].has_value());
@@ -351,7 +346,7 @@ class NowState {
              static_cast<std::int64_t>(slots_[slot]->size()));
     }
 #endif
-    sizes_.apply_deltas(deltas, pool, blocks);
+    sizes_.apply_deltas(deltas);
   }
 
   /// Stage 2: reconciles the placed-node count with the batch's net

@@ -163,17 +163,4 @@ void FaultyTransport::poll(NodeId id, std::vector<Message>& out) {
   inner_.poll(id, out);
 }
 
-void FaultyTransport::save_events(const std::string& path) const {
-  core::SnapshotWriter writer;
-  writer.u64(events_.size());
-  for (const FaultEvent& e : events_) {
-    writer.u8(static_cast<std::uint8_t>(e.kind));
-    writer.u64(e.round);
-    writer.u64(e.from.value());
-    writer.u64(e.to.value());
-    writer.u64(e.until_round);
-  }
-  writer.write_file(path, "NWFAULTS", 1);
-}
-
 }  // namespace now::net

@@ -16,13 +16,12 @@
 //
 // Faults apply to protocol messages only; the socket transport's barrier
 // and handshake frames live below this decorator and are never faulted.
-// Every injected fault is recorded; save_events writes the log as a framed
-// snapshot file for offline diffing of two deployments.
+// Every injected fault is recorded in an in-memory log (events()), so
+// tests can compare two deployments' fault decisions.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -81,9 +80,6 @@ class FaultyTransport final : public Transport {
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;
   }
-
-  /// Writes the fault log as a framed snapshot file (magic "NWFAULTS").
-  void save_events(const std::string& path) const;
 
  private:
   struct Delayed {

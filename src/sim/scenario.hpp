@@ -83,13 +83,10 @@ struct ScenarioConfig {
   std::string resume_from;
   /// Record a scenario trace (sim/trace.hpp) of every event + invariant
   /// sample to this file. Ignored on resumed runs (a trace must cover the
-  /// whole run to be replayable).
-  std::string trace_path;
-  /// Trace embedded-checkpoint cadence: every this many steps the
+  /// whole run to be replayable). Every max(8, steps / 8) steps the
   /// recorder embeds a full system snapshot into the trace, giving replay
   /// O(log steps) divergence bisection (trace_checkpoints / bisect_trace).
-  /// 0 picks an automatic cadence (~8 checkpoints across the horizon).
-  std::size_t trace_checkpoint_every = 0;
+  std::string trace_path;
 };
 
 struct InvariantSample {
@@ -149,6 +146,14 @@ struct ScenarioResult {
   /// requested batch_byz_fraction corruption volume.
   std::size_t budget_saturated_steps = 0;
 };
+
+/// The sample of `step` that an invariant report yields.
+[[nodiscard]] InvariantSample make_sample(std::size_t step,
+                                          const core::InvariantReport& report);
+
+/// Appends `sample` to result.samples and folds it into the peak fraction
+/// and the first compromise step.
+void fold_sample(ScenarioResult& result, const InvariantSample& sample);
 
 /// Runs the scenario. The same Metrics records every operation, so callers
 /// can mine per-operation cost distributions afterwards

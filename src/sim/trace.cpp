@@ -1,9 +1,10 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 namespace now::sim {
 
@@ -11,24 +12,6 @@ namespace {
 
 constexpr char kTraceMagic[] = "NOWTRAC1";
 constexpr char kCheckpointMagic[] = "NOWCKPT1";
-
-/// Trace frame tags (kFrameCheckpoint arrived in trace v2). The
-/// footer is NOT a frame — it lives after the end frame and is located
-/// via the trailing offset word, never by sequential scan.
-enum Frame : std::uint8_t {
-  kFrameStep = 1,
-  kFrameJoin = 2,
-  kFrameLeave = 3,
-  kFrameBatch = 4,
-  kFrameSample = 5,
-  kFrameEnd = 6,
-  kFrameCheckpoint = 7,
-};
-
-/// Footer magic ("IDX2" little-endian) — a cheap tripwire: a trailing
-/// offset that lands anywhere but a real footer fails here instead of
-/// misparsing entries.
-constexpr std::uint32_t kFooterMagic = 0x32584449;
 
 void write_sample(core::SnapshotWriter& w, const InvariantSample& s) {
   w.u64(s.step);
@@ -118,6 +101,8 @@ void write_header(core::SnapshotWriter& w, const TraceHeader& h) {
   w.str(h.adversary);
 }
 
+/// Throws SnapshotError for a header no recorder writes: bad params or
+/// enum values, or an initial deployment initialize() cannot build.
 TraceHeader read_header(core::SnapshotReader& r) {
   TraceHeader h;
   h.params = core::read_params(r);
@@ -126,67 +111,255 @@ TraceHeader read_header(core::SnapshotReader& r) {
   h.sample_every = r.u64();
   h.n0 = r.u64();
   h.byz0 = r.u64();
-  h.topology = static_cast<core::InitTopology>(r.u32());
+  h.topology = core::read_enum(r, core::InitTopology::kModeledSparse,
+                               "topology");
   h.batch_ops = r.u64();
   h.shards = r.u64();
   h.batch_byz_fraction = r.f64();
-  h.placement = static_cast<BatchPlacement>(r.u32());
+  h.placement =
+      core::read_enum(r, BatchPlacement::kTargeted, "batch placement");
   h.leave_quota = r.u64();
   h.adversary = r.str();
+  if (h.n0 < 2) {
+    throw core::SnapshotError("trace header n0 " + std::to_string(h.n0) +
+                              " is below 2");
+  }
+  if (h.byz0 >= h.n0) {
+    throw core::SnapshotError("trace header byz0 " + std::to_string(h.byz0) +
+                              " is not below n0 " + std::to_string(h.n0));
+  }
   return h;
 }
 
-/// Opens a framed trace; every version but the current one is rejected.
-core::SnapshotReader open_trace(const std::string& path) {
-  return core::SnapshotReader::read_file(path, kTraceMagic,
-                                         kTraceFormatVersion,
-                                         kTraceFormatVersion);
-}
+// ------------------------------------------------------------ frame codec
+//
+// One struct per frame kind, each with its tag and one write_fields/
+// read_fields pair. Every reader and writer of the frame stream — the
+// recorder, replay, the checkpoint listing, info and mutation — goes
+// through write_frame/read_frame, so the layout lives here only.
 
-struct TraceFooter {
-  std::vector<TraceCheckpointInfo> checkpoints;
-  /// Payload byte offset of the footer itself — the event stream's end.
-  std::uint64_t offset = 0;
+struct StepFrame {
+  static constexpr std::uint8_t kTag = 1;
+  std::uint64_t step = 0;
 };
 
-/// Locates and validates the footer via the trailing offset word. Leaves
-/// the reader positioned right before that word; callers seek back.
-TraceFooter read_footer(core::SnapshotReader& r) {
-  if (r.size() < 8) {
-    throw core::SnapshotError("trace too short for a footer offset");
+struct JoinFrame {
+  static constexpr std::uint8_t kTag = 2;
+  NodeId node;
+  bool byzantine = false;
+};
+
+struct LeaveFrame {
+  static constexpr std::uint8_t kTag = 3;
+  NodeId node;
+};
+
+/// One step_parallel_mixed call. The shard count is not recorded: the
+/// header's `shards` is the run's, and results do not depend on it.
+struct BatchFrame {
+  static constexpr std::uint8_t kTag = 4;
+  std::uint64_t joins = 0;
+  std::uint64_t byzantine_joins = 0;
+  std::vector<NodeId> leaves;
+};
+
+struct SampleFrame {
+  static constexpr std::uint8_t kTag = 5;
+  InvariantSample sample;
+};
+
+struct EndFrame {
+  static constexpr std::uint8_t kTag = 6;
+  ScenarioResult summary;
+};
+
+/// A full system snapshot plus the run's partial aggregates, so a replay
+/// seeked here reproduces the end summary exactly.
+struct CheckpointFrame {
+  static constexpr std::uint8_t kTag = 7;
+  std::uint64_t step = 0;
+  std::uint64_t splits = 0;
+  std::uint64_t merges = 0;
+  double peak_byz_fraction = 0.0;
+  bool ever_compromised = false;
+  std::uint64_t first_compromise_step = 0;
+  /// The save_system payload, length-prefixed on disk. A view into the
+  /// recorder's scratch or the read trace's payload: walking the frames
+  /// skips snapshots without copying or parsing them.
+  std::span<const std::uint8_t> snapshot;
+};
+
+using TraceFrame = std::variant<StepFrame, JoinFrame, LeaveFrame, BatchFrame,
+                                SampleFrame, EndFrame, CheckpointFrame>;
+
+void write_fields(core::SnapshotWriter& w, const StepFrame& f) {
+  w.u64(f.step);
+}
+void read_fields(core::SnapshotReader& r, StepFrame& f) { f.step = r.u64(); }
+
+void write_fields(core::SnapshotWriter& w, const JoinFrame& f) {
+  w.u64(f.node.value());
+  w.u8(f.byzantine ? 1 : 0);
+}
+void read_fields(core::SnapshotReader& r, JoinFrame& f) {
+  f.node = NodeId{r.u64()};
+  f.byzantine = r.u8() != 0;
+}
+
+void write_fields(core::SnapshotWriter& w, const LeaveFrame& f) {
+  w.u64(f.node.value());
+}
+void read_fields(core::SnapshotReader& r, LeaveFrame& f) {
+  f.node = NodeId{r.u64()};
+}
+
+void write_fields(core::SnapshotWriter& w, const BatchFrame& f) {
+  w.u64(f.joins);
+  w.u64(f.byzantine_joins);
+  w.u64(f.leaves.size());
+  for (const NodeId node : f.leaves) w.u64(node.value());
+}
+void read_fields(core::SnapshotReader& r, BatchFrame& f) {
+  f.joins = r.u64();
+  f.byzantine_joins = r.u64();
+  const std::uint64_t count = r.count(8);
+  f.leaves.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) f.leaves.push_back(NodeId{r.u64()});
+}
+
+void write_fields(core::SnapshotWriter& w, const SampleFrame& f) {
+  write_sample(w, f.sample);
+}
+void read_fields(core::SnapshotReader& r, SampleFrame& f) {
+  f.sample = read_sample(r);
+}
+
+void write_fields(core::SnapshotWriter& w, const EndFrame& f) {
+  write_summary(w, f.summary);
+}
+void read_fields(core::SnapshotReader& r, EndFrame& f) {
+  f.summary = read_summary(r);
+}
+
+void write_fields(core::SnapshotWriter& w, const CheckpointFrame& f) {
+  w.u64(f.step);
+  w.u64(f.splits);
+  w.u64(f.merges);
+  w.f64(f.peak_byz_fraction);
+  w.u8(f.ever_compromised ? 1 : 0);
+  w.u64(f.first_compromise_step);
+  w.u64(f.snapshot.size());
+  w.bytes(f.snapshot.data(), f.snapshot.size());
+}
+void read_fields(core::SnapshotReader& r, CheckpointFrame& f) {
+  f.step = r.u64();
+  f.splits = r.u64();
+  f.merges = r.u64();
+  f.peak_byz_fraction = r.f64();
+  f.ever_compromised = r.u8() != 0;
+  f.first_compromise_step = r.u64();
+  f.snapshot = r.view(r.count(1));
+}
+
+template <typename Frame>
+void write_frame(core::SnapshotWriter& w, const Frame& frame) {
+  w.u8(Frame::kTag);
+  write_fields(w, frame);
+}
+
+template <typename Frame>
+TraceFrame read_as(core::SnapshotReader& r) {
+  Frame frame;
+  read_fields(r, frame);
+  return frame;
+}
+
+TraceFrame read_frame(core::SnapshotReader& r) {
+  switch (r.u8()) {
+    case StepFrame::kTag: return read_as<StepFrame>(r);
+    case JoinFrame::kTag: return read_as<JoinFrame>(r);
+    case LeaveFrame::kTag: return read_as<LeaveFrame>(r);
+    case BatchFrame::kTag: return read_as<BatchFrame>(r);
+    case SampleFrame::kTag: return read_as<SampleFrame>(r);
+    case EndFrame::kTag: return read_as<EndFrame>(r);
+    case CheckpointFrame::kTag: return read_as<CheckpointFrame>(r);
+    default: throw core::SnapshotError("unknown trace frame tag");
   }
-  r.seek(r.size() - 8);
-  TraceFooter footer;
-  footer.offset = r.u64();
-  if (footer.offset > r.size() - 8) {
-    throw core::SnapshotError("trace footer offset past end of payload");
-  }
-  r.seek(footer.offset);
-  if (r.u32() != kFooterMagic) {
-    throw core::SnapshotError("trace footer magic mismatch (truncated or "
-                              "overwritten footer)");
-  }
-  const std::uint64_t count = r.count(16);
-  footer.checkpoints.reserve(count);
-  std::uint64_t prev_step = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    TraceCheckpointInfo info;
-    info.step = r.u64();
-    info.offset = r.u64();
-    if (info.offset >= footer.offset) {
-      throw core::SnapshotError(
-          "trace checkpoint offset points past the event stream");
+}
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+struct DecodedFrame {
+  TraceFrame frame;
+  /// Step the frame belongs to: the last step or checkpoint frame's.
+  std::size_t step = 0;
+};
+
+/// A whole trace, decoded. Checkpoint snapshots are views into `reader`'s
+/// payload, so the struct must outlive them (moving it keeps them valid).
+struct DecodedTrace {
+  core::SnapshotReader reader;
+  TraceHeader header;
+  std::vector<DecodedFrame> frames;
+};
+
+/// Opens and decodes a trace, enforcing the rules every reader shares:
+/// the current version only, a valid header, known frame tags, batch frames
+/// with at most the header's batch_ops joins and distinct leave victims,
+/// strictly increasing checkpoint steps, and nothing after the end frame.
+/// Violations throw SnapshotError; behavior is never checked here.
+DecodedTrace decode_trace(const std::string& path) {
+  DecodedTrace trace{core::SnapshotReader::read_file(
+                         path, kTraceMagic, kTraceFormatVersion,
+                         kTraceFormatVersion),
+                     {}, {}};
+  core::SnapshotReader& r = trace.reader;
+  const auto fail = [&](const std::string& what) {
+    throw core::SnapshotError(what + ": " + path);
+  };
+  trace.header = read_header(r);
+  std::size_t step = 0;
+  bool have_checkpoint = false;
+  std::size_t checkpoint_step = 0;
+  std::vector<NodeId> sorted_leaves;
+  while (!r.at_end()) {
+    TraceFrame frame = read_frame(r);
+    if (const auto* f = std::get_if<StepFrame>(&frame)) step = f->step;
+    if (const auto* f = std::get_if<BatchFrame>(&frame)) {
+      // Only run_scenario writes batch frames: at most batch_ops joins and
+      // distinct leave victims. The engine must never see anything else.
+      if (f->joins > trace.header.batch_ops) {
+        fail("batch frame records " + std::to_string(f->joins) +
+             " joins, more than the header's batch_ops " +
+             std::to_string(trace.header.batch_ops));
+      }
+      sorted_leaves.assign(f->leaves.begin(), f->leaves.end());
+      std::sort(sorted_leaves.begin(), sorted_leaves.end());
+      const auto twice =
+          std::adjacent_find(sorted_leaves.begin(), sorted_leaves.end());
+      if (twice != sorted_leaves.end()) {
+        fail("batch frame names leave victim " +
+             std::to_string(twice->value()) + " twice");
+      }
     }
-    if (i > 0 && info.step <= prev_step) {
-      throw core::SnapshotError("trace footer steps not increasing");
+    if (const auto* f = std::get_if<CheckpointFrame>(&frame)) {
+      if (have_checkpoint && f->step <= checkpoint_step) {
+        fail("trace checkpoint steps not increasing (" +
+             std::to_string(checkpoint_step) + " then " +
+             std::to_string(f->step) + ")");
+      }
+      have_checkpoint = true;
+      checkpoint_step = f->step;
+      step = f->step;
     }
-    prev_step = info.step;
-    footer.checkpoints.push_back(info);
+    const bool end = std::holds_alternative<EndFrame>(frame);
+    trace.frames.push_back({std::move(frame), step});
+    if (end && !r.at_end()) fail("trailing bytes after the end frame");
   }
-  if (r.pos() != r.size() - 8) {
-    throw core::SnapshotError("trace footer size mismatch");
-  }
-  return footer;
+  return trace;
 }
 
 }  // namespace
@@ -213,35 +386,26 @@ TraceRecorder::TraceRecorder(const ScenarioConfig& config, std::size_t n0,
 }
 
 void TraceRecorder::on_join(NodeId node, bool byzantine) {
-  writer_.u8(kFrameJoin);
-  writer_.u64(node.value());
-  writer_.u8(byzantine ? 1 : 0);
+  write_frame(writer_, JoinFrame{.node = node, .byzantine = byzantine});
 }
 
 void TraceRecorder::on_leave(NodeId node) {
-  writer_.u8(kFrameLeave);
-  writer_.u64(node.value());
+  write_frame(writer_, LeaveFrame{.node = node});
 }
 
 void TraceRecorder::on_batch(std::size_t joins, std::size_t byzantine_joins,
-                             const std::vector<NodeId>& leaves,
-                             std::size_t shards) {
-  writer_.u8(kFrameBatch);
-  writer_.u64(joins);
-  writer_.u64(byzantine_joins);
-  writer_.u64(shards);
-  writer_.u64(leaves.size());
-  for (const NodeId node : leaves) writer_.u64(node.value());
+                             const std::vector<NodeId>& leaves) {
+  write_frame(writer_, BatchFrame{.joins = joins,
+                                  .byzantine_joins = byzantine_joins,
+                                  .leaves = leaves});
 }
 
 void TraceRecorder::begin_step(std::size_t t) {
-  writer_.u8(kFrameStep);
-  writer_.u64(t);
+  write_frame(writer_, StepFrame{.step = t});
 }
 
 void TraceRecorder::record_sample(const InvariantSample& sample) {
-  writer_.u8(kFrameSample);
-  write_sample(writer_, sample);
+  write_frame(writer_, SampleFrame{.sample = sample});
 }
 
 void TraceRecorder::record_checkpoint(std::size_t step,
@@ -251,30 +415,20 @@ void TraceRecorder::record_checkpoint(std::size_t step,
                                       const ScenarioResult& partial) {
   core::SnapshotWriter snap;
   core::save_system(system, snap);
-  checkpoints_.emplace_back(step, writer_.buffer().size());
-  writer_.u8(kFrameCheckpoint);
-  writer_.u64(step);
-  writer_.u64(splits_so_far);
-  writer_.u64(merges_so_far);
-  writer_.f64(partial.peak_byz_fraction);
-  writer_.u8(partial.ever_compromised ? 1 : 0);
-  writer_.u64(partial.first_compromise_step);
-  writer_.u64(snap.buffer().size());
-  writer_.bytes(snap.buffer().data(), snap.buffer().size());
+  write_frame(writer_,
+              CheckpointFrame{
+                  .step = step,
+                  .splits = splits_so_far,
+                  .merges = merges_so_far,
+                  .peak_byz_fraction = partial.peak_byz_fraction,
+                  .ever_compromised = partial.ever_compromised,
+                  .first_compromise_step = partial.first_compromise_step,
+                  .snapshot = snap.buffer()});
 }
 
 void TraceRecorder::finish(const ScenarioResult& result,
                            const std::string& path) {
-  writer_.u8(kFrameEnd);
-  write_summary(writer_, result);
-  const std::uint64_t footer_offset = writer_.buffer().size();
-  writer_.u32(kFooterMagic);
-  writer_.u64(checkpoints_.size());
-  for (const auto& [step, offset] : checkpoints_) {
-    writer_.u64(step);
-    writer_.u64(offset);
-  }
-  writer_.u64(footer_offset);
+  write_frame(writer_, EndFrame{.summary = result});
   writer_.write_file(path, kTraceMagic, kTraceFormatVersion);
 }
 
@@ -282,13 +436,9 @@ void TraceRecorder::finish(const ScenarioResult& result,
 
 TraceReplayResult replay_trace(const std::string& path,
                                const ReplayOptions& opts) {
-  core::SnapshotReader reader = open_trace(path);
-  const TraceHeader header = read_header(reader);
-  const std::uint64_t header_end = reader.pos();
-  const TraceFooter footer = read_footer(reader);
-  const std::uint64_t body_end = footer.offset;
-  const std::vector<TraceCheckpointInfo>& index = footer.checkpoints;
-  reader.seek(header_end);
+  const DecodedTrace trace = decode_trace(path);
+  const TraceHeader& header = trace.header;
+  const std::vector<DecodedFrame>& frames = trace.frames;
 
   TraceReplayResult replay;
   Metrics metrics;
@@ -299,41 +449,39 @@ TraceReplayResult replay_trace(const std::string& path,
   std::size_t splits_base = 0;
   std::size_t merges_base = 0;
   std::size_t current_step = 0;
+  std::size_t next = 0;  // first frame to re-drive
 
   if (opts.start_checkpoint == kReplayFromStart) {
     system.initialize(header.n0, header.byz0, header.topology);
   } else {
-    if (opts.start_checkpoint >= index.size()) {
+    // Checkpoints are found by walking the frames: stop at the
+    // start_checkpoint-th one.
+    std::size_t seen = 0;
+    while (next < frames.size() &&
+           !(std::holds_alternative<CheckpointFrame>(frames[next].frame) &&
+             seen++ == opts.start_checkpoint)) {
+      ++next;
+    }
+    if (next == frames.size()) {
       throw core::SnapshotError(
           "trace has no checkpoint #" +
           std::to_string(opts.start_checkpoint) + ": " + path);
     }
-    const TraceCheckpointInfo& ck = index[opts.start_checkpoint];
-    reader.seek(ck.offset);
-    if (reader.u8() != kFrameCheckpoint) {
-      throw core::SnapshotError(
-          "trace footer entry does not point at a checkpoint frame: " +
-          path);
-    }
-    const std::uint64_t step = reader.u64();
-    if (step != ck.step) {
-      throw core::SnapshotError("trace footer step disagrees with the "
-                                "checkpoint frame: " + path);
-    }
-    splits_base = reader.u64();
-    merges_base = reader.u64();
-    replay.result.peak_byz_fraction = reader.f64();
-    replay.result.ever_compromised = reader.u8() != 0;
-    replay.result.first_compromise_step = reader.u64();
-    const std::uint64_t snap_size = reader.count(1);
-    const std::uint64_t snap_end = reader.pos() + snap_size;
-    core::load_system(system, reader);
-    if (reader.pos() != snap_end) {
+    const auto& ck = std::get<CheckpointFrame>(frames[next++].frame);
+    splits_base = ck.splits;
+    merges_base = ck.merges;
+    replay.result.peak_byz_fraction = ck.peak_byz_fraction;
+    replay.result.ever_compromised = ck.ever_compromised;
+    replay.result.first_compromise_step = ck.first_compromise_step;
+    core::SnapshotReader snapshot{
+        std::vector<std::uint8_t>(ck.snapshot.begin(), ck.snapshot.end())};
+    core::load_system(system, snapshot);
+    if (!snapshot.at_end()) {
       throw core::SnapshotError(
           "embedded checkpoint snapshot size mismatch: " + path);
     }
-    current_step = step;
-    replay.start_step = step;
+    current_step = ck.step;
+    replay.start_step = ck.step;
   }
 
   const auto mismatch = [&](const std::string& what) {
@@ -343,103 +491,54 @@ TraceReplayResult replay_trace(const std::string& path,
       replay.first_bad_step = current_step;
     }
   };
-  const auto note_sample = [&](const InvariantSample& s) {
-    replay.result.samples.push_back(s);
-    replay.result.peak_byz_fraction =
-        std::max(replay.result.peak_byz_fraction, s.worst_byz_fraction);
-    if (s.compromised_clusters > 0 && !replay.result.ever_compromised) {
-      replay.result.ever_compromised = true;
-      replay.result.first_compromise_step = s.step;
-    }
+  const auto splits = [&] {
+    return splits_base + metrics.operation_count(metrics.find("split"));
   };
+  const auto merges = [&] {
+    return merges_base + metrics.operation_count(metrics.find("merge"));
+  };
+  const std::size_t shards =
+      opts.shards_override > 0 ? opts.shards_override : header.shards;
 
-  std::vector<NodeId> leaves;
-  std::vector<NodeId> sorted_leaves;
   bool saw_end = false;
-  while (reader.pos() < body_end && replay.ok && !saw_end) {
-    switch (reader.u8()) {
-      case kFrameStep:
-        current_step = reader.u64();
+  const auto visitor = Overloaded{
+      [&](const StepFrame& f) {
+        current_step = f.step;
         ++replay.steps_replayed;
-        break;
-      case kFrameJoin: {
-        const NodeId recorded{reader.u64()};
-        const bool byzantine = reader.u8() != 0;
-        const auto [node, report] = system.join(byzantine);
-        (void)report;
-        if (node != recorded) {
-          mismatch("join produced node " +
-                   std::to_string(node.value()) + ", trace recorded " +
-                   std::to_string(recorded.value()));
+      },
+      [&](const JoinFrame& f) {
+        const NodeId node = system.join(f.byzantine).first;
+        if (node != f.node) {
+          mismatch("join produced node " + std::to_string(node.value()) +
+                   ", trace recorded " + std::to_string(f.node.value()));
         }
-        break;
-      }
-      case kFrameLeave: {
-        const NodeId node{reader.u64()};
-        if (!system.state().is_placed(node)) {
-          mismatch("leave victim " + std::to_string(node.value()) +
+      },
+      [&](const LeaveFrame& f) {
+        if (!system.state().is_placed(f.node)) {
+          mismatch("leave victim " + std::to_string(f.node.value()) +
                    " is not placed");
-          break;
+          return;
         }
-        system.leave(node);
-        break;
-      }
-      case kFrameBatch: {
-        // Only run_scenario writes batch frames: at most batch_ops joins
-        // and distinct leave victims. A frame breaking either rule is a
-        // malformed trace, not a divergence — the engine must never see it.
-        const std::size_t joins = reader.u64();
-        if (joins > header.batch_ops) {
-          throw core::SnapshotError(
-              "batch frame records " + std::to_string(joins) +
-              " joins, more than the header's batch_ops " +
-              std::to_string(header.batch_ops) + ": " + path);
+        system.leave(f.node);
+      },
+      [&](const BatchFrame& f) {
+        for (const NodeId node : f.leaves) {
+          if (!system.state().is_placed(node)) {
+            mismatch("batch names an unplaced leave victim");
+            return;
+          }
         }
-        const std::size_t byz_joins = reader.u64();
-        const std::size_t shards = reader.u64();
-        const std::uint64_t count = reader.count(8);
-        leaves.clear();
-        leaves.reserve(count);
-        bool placed = true;
-        for (std::uint64_t i = 0; i < count; ++i) {
-          leaves.push_back(NodeId{reader.u64()});
-          placed = placed && system.state().is_placed(leaves.back());
-        }
-        sorted_leaves.assign(leaves.begin(), leaves.end());
-        std::sort(sorted_leaves.begin(), sorted_leaves.end());
-        const auto twice = std::adjacent_find(sorted_leaves.begin(),
-                                              sorted_leaves.end());
-        if (twice != sorted_leaves.end()) {
-          throw core::SnapshotError("batch frame names leave victim " +
-                                    std::to_string(twice->value()) +
-                                    " twice: " + path);
-        }
-        if (!placed) {
-          mismatch("batch names an unplaced leave victim");
-          break;
-        }
-        if (byz_joins > joins) {
+        if (f.byzantine_joins > f.joins) {
           mismatch("batch records more byzantine joins than joins");
-          break;
+          return;
         }
-        const std::size_t use_shards =
-            opts.shards_override > 0 ? opts.shards_override : shards;
-        system.step_parallel_mixed(joins, byz_joins, leaves, use_shards);
-        break;
-      }
-      case kFrameSample: {
-        const InvariantSample recorded = read_sample(reader);
-        const auto report = system.check();
-        InvariantSample live;
-        live.step = recorded.step;
-        live.num_nodes = report.num_nodes;
-        live.num_clusters = report.num_clusters;
-        live.min_cluster_size = report.min_cluster_size;
-        live.max_cluster_size = report.max_cluster_size;
-        live.worst_byz_fraction = report.worst_byz_fraction;
-        live.compromised_clusters = report.compromised_clusters;
-        live.overlay_max_degree = report.overlay_max_degree;
-        live.overlay_connected = report.overlay_connected;
+        system.step_parallel_mixed(f.joins, f.byzantine_joins, f.leaves,
+                                   shards);
+      },
+      [&](const SampleFrame& f) {
+        const InvariantSample& recorded = f.sample;
+        const InvariantSample live = make_sample(recorded.step,
+                                                 system.check());
         if (!(live == recorded)) {
           std::ostringstream os;
           os << "invariant sample diverged at recorded step "
@@ -449,52 +548,40 @@ TraceReplayResult replay_trace(const std::string& path,
              << recorded.worst_byz_fraction << " vs "
              << live.worst_byz_fraction << ")";
           mismatch(os.str());
-          break;
+          return;
         }
-        note_sample(live);
+        fold_sample(replay.result, live);
         ++replay.samples_checked;
-        break;
-      }
-      case kFrameCheckpoint: {
-        current_step = reader.u64();
-        const std::uint64_t ck_splits = reader.u64();
-        const std::uint64_t ck_merges = reader.u64();
-        const double ck_peak = reader.f64();
-        const bool ck_ever = reader.u8() != 0;
-        const std::uint64_t ck_first = reader.u64();
-        const std::uint64_t snap_size = reader.count(1);
-        std::vector<std::uint8_t> embedded(snap_size);
-        reader.bytes(embedded.data(), embedded.size());
+      },
+      [&](const CheckpointFrame& f) {
+        current_step = f.step;
         // Every checkpoint is an observation point: serialize the live
         // state through the same writer and compare byte-for-byte. The
         // snapshot payload is canonical (slab geometry, dense-set orders,
         // RNG words), so equality here IS state identity.
         core::SnapshotWriter live;
         core::save_system(system, live);
-        if (live.buffer() != embedded) {
+        if (!std::ranges::equal(live.buffer(), f.snapshot)) {
           mismatch(
               "live state diverged from the embedded checkpoint snapshot");
-          break;
+          return;
         }
-        if (splits_base + metrics.operation_count(metrics.find("split")) != ck_splits ||
-            merges_base + metrics.operation_count(metrics.find("merge")) != ck_merges ||
-            replay.result.peak_byz_fraction != ck_peak ||
-            replay.result.ever_compromised != ck_ever ||
-            replay.result.first_compromise_step != ck_first) {
+        if (splits() != f.splits || merges() != f.merges ||
+            replay.result.peak_byz_fraction != f.peak_byz_fraction ||
+            replay.result.ever_compromised != f.ever_compromised ||
+            replay.result.first_compromise_step !=
+                f.first_compromise_step) {
           mismatch("replay aggregates diverged from the embedded "
                    "checkpoint");
-          break;
+          return;
         }
         ++replay.checkpoints_checked;
-        break;
-      }
-      case kFrameEnd: {
-        const ScenarioResult recorded = read_summary(reader);
+      },
+      [&](const EndFrame& f) {
+        const ScenarioResult& recorded = f.summary;
         saw_end = true;
-        replay.result.total_splits =
-            splits_base + metrics.operation_count(metrics.find("split"));
-        replay.result.total_merges =
-            merges_base + metrics.operation_count(metrics.find("merge"));
+        replay.result.total_splits = splits();
+        replay.result.total_merges = merges();
         replay.result.final_nodes = system.num_nodes();
         replay.result.final_clusters = system.num_clusters();
         replay.result.final_byzantine = system.state().byzantine_total();
@@ -511,32 +598,32 @@ TraceReplayResult replay_trace(const std::string& path,
             replay.result.ever_compromised != recorded.ever_compromised) {
           mismatch("end-of-run summary diverged from the recorded one");
         }
-        break;
-      }
-      default:
-        throw core::SnapshotError("unknown trace frame tag: " + path);
-    }
+      }};
+  for (; next < frames.size() && replay.ok; ++next) {
+    std::visit(visitor, frames[next].frame);
   }
   if (!saw_end && replay.ok) {
     mismatch("trace has no end-of-run summary frame");
-  }
-  if (saw_end && reader.pos() != body_end) {
-    throw core::SnapshotError(
-        "trailing bytes between end frame and footer: " + path);
   }
   return replay;
 }
 
 std::vector<TraceCheckpointInfo> trace_checkpoints(const std::string& path) {
-  core::SnapshotReader reader = open_trace(path);
-  return read_footer(reader).checkpoints;
+  std::vector<TraceCheckpointInfo> checkpoints;
+  for (const DecodedFrame& f : decode_trace(path).frames) {
+    if (std::holds_alternative<CheckpointFrame>(f.frame)) {
+      checkpoints.push_back({.step = f.step});
+    }
+  }
+  return checkpoints;
 }
 
 TraceInfo trace_info(const std::string& path) {
-  core::SnapshotReader reader = open_trace(path);
-  const TraceHeader h = read_header(reader);
+  const DecodedTrace trace = decode_trace(path);
+  const TraceHeader& h = trace.header;
   TraceInfo info;
-  info.version = reader.version();
+  info.version = trace.reader.version();
+  info.params = h.params;
   info.seed = h.seed;
   info.steps = h.steps;
   info.sample_every = h.sample_every;
@@ -544,10 +631,34 @@ TraceInfo trace_info(const std::string& path) {
   info.byz0 = h.byz0;
   info.batch_ops = h.batch_ops;
   info.shards = h.shards;
-  info.tau = h.params.tau;
+  info.batch_byz_fraction = h.batch_byz_fraction;
+  info.placement = h.placement;
+  info.leave_quota = h.leave_quota;
   info.adversary = h.adversary;
-  info.checkpoint_count = read_footer(reader).checkpoints.size();
+  info.checkpoint_count = static_cast<std::size_t>(
+      std::ranges::count_if(trace.frames, [](const DecodedFrame& f) {
+        return std::holds_alternative<CheckpointFrame>(f.frame);
+      }));
   return info;
+}
+
+std::string describe_trace(const std::string& path) {
+  const TraceInfo info = trace_info(path);
+  std::ostringstream os;
+  os << "v" << info.version << " seed=" << info.seed << " steps="
+     << info.steps << " n0=" << info.n0 << " byz0=" << info.byz0
+     << " tau=" << info.params.tau << " k=" << info.params.k
+     << " adversary=" << info.adversary;
+  if (info.batch_ops > 0) {
+    os << " batch_ops=" << info.batch_ops << " shards=" << info.shards
+       << " byz_fraction=" << info.batch_byz_fraction << " placement="
+       << (info.placement == BatchPlacement::kTargeted ? "targeted"
+                                                       : "uniform")
+       << " leave_quota=" << info.leave_quota;
+  }
+  os << " checkpoints=" << info.checkpoint_count;
+  if (!info.params.shuffle_enabled) os << " (no-shuffle)";
+  return os.str();
 }
 
 // -------------------------------------------------------------- bisect
@@ -597,188 +708,70 @@ TraceBisectResult bisect_trace(const std::string& path) {
 
 // ------------------------------------------------------------ mutation
 
-namespace {
-
-std::uint64_t read_u64_at(const std::vector<std::uint8_t>& buf,
-                          std::size_t off) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(buf[off + i]) << (8 * i);
-  }
-  return v;
-}
-
-void write_u64_at(std::vector<std::uint8_t>& buf, std::size_t off,
-                  std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    buf[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-struct FrameRef {
-  std::uint8_t tag = 0;
-  std::uint64_t offset = 0;  // payload offset of the tag byte
-  std::uint64_t step = 0;    // step the frame belongs to
-};
-
-/// Structural walk of the event stream (no system needed) — the mutation
-/// machinery's frame index. `reader` must be positioned after the header.
-std::vector<FrameRef> scan_frames(core::SnapshotReader& reader,
-                                  std::uint64_t body_end) {
-  std::vector<FrameRef> frames;
-  std::uint64_t step = 0;
-  bool saw_end = false;
-  while (reader.pos() < body_end && !saw_end) {
-    FrameRef ref;
-    ref.offset = reader.pos();
-    ref.tag = reader.u8();
-    switch (ref.tag) {
-      case kFrameStep:
-        step = reader.u64();
-        break;
-      case kFrameJoin:
-        reader.u64();
-        reader.u8();
-        break;
-      case kFrameLeave:
-        reader.u64();
-        break;
-      case kFrameBatch: {
-        reader.u64();
-        reader.u64();
-        reader.u64();
-        const std::uint64_t count = reader.count(8);
-        reader.seek(reader.pos() + count * 8);
-        break;
-      }
-      case kFrameSample:
-        (void)read_sample(reader);
-        break;
-      case kFrameCheckpoint: {
-        reader.u64();  // step
-        reader.u64();  // splits
-        reader.u64();  // merges
-        reader.f64();  // peak
-        reader.u8();   // ever_compromised
-        reader.u64();  // first_compromise_step
-        const std::uint64_t snap_size = reader.count(1);
-        reader.seek(reader.pos() + snap_size);
-        break;
-      }
-      case kFrameEnd:
-        (void)read_summary(reader);
-        saw_end = true;
-        break;
-      default:
-        throw core::SnapshotError("unknown trace frame tag during scan");
-    }
-    ref.step = step;
-    frames.push_back(ref);
-  }
-  return frames;
-}
-
-}  // namespace
-
 TraceMutation mutate_trace(const std::string& path,
                            const std::string& out_path,
                            TraceMutationKind kind, std::uint64_t pick) {
-  core::SnapshotReader reader = open_trace(path);
-  std::vector<std::uint8_t> payload(reader.size());
-  reader.bytes(payload.data(), payload.size());
-
-  core::SnapshotReader scan{payload};
-  (void)read_header(scan);
-  const std::uint64_t body_end = read_u64_at(payload, payload.size() - 8);
-  const std::vector<FrameRef> frames = scan_frames(scan, body_end);
-
-  std::vector<FrameRef> candidates;
-  for (const FrameRef& f : frames) {
+  DecodedTrace trace = decode_trace(path);
+  const auto eligible = [kind](const TraceFrame& frame) {
     switch (kind) {
-      case TraceMutationKind::kEventBit:
-        if (f.tag == kFrameJoin) candidates.push_back(f);
-        if (f.tag == kFrameBatch &&
-            read_u64_at(payload, f.offset + 1) > 0) {  // joins > 0
-          candidates.push_back(f);
-        }
-        break;
+      case TraceMutationKind::kEventBit: {
+        const auto* batch = std::get_if<BatchFrame>(&frame);
+        return std::holds_alternative<JoinFrame>(frame) ||
+               (batch != nullptr && batch->joins > 0);
+      }
       case TraceMutationKind::kSampleField:
-        if (f.tag == kFrameSample) candidates.push_back(f);
-        break;
+        return std::holds_alternative<SampleFrame>(frame);
       case TraceMutationKind::kSummaryField:
-        if (f.tag == kFrameEnd) candidates.push_back(f);
-        break;
+        return std::holds_alternative<EndFrame>(frame);
     }
+    return false;
+  };
+  std::vector<DecodedFrame*> candidates;
+  for (DecodedFrame& f : trace.frames) {
+    if (eligible(f.frame)) candidates.push_back(&f);
   }
   TraceMutation mutation;
   if (candidates.empty()) return mutation;
-  const FrameRef target = candidates[pick % candidates.size()];
+  DecodedFrame& target = *candidates[pick % candidates.size()];
   mutation.applied = true;
   mutation.step = target.step;
 
+  // Decode, edit one field, re-encode: every other byte comes back as it
+  // was read.
   std::ostringstream desc;
-  switch (kind) {
-    case TraceMutationKind::kEventBit: {
-      if (target.tag == kFrameJoin) {
-        // Flip the corruption bit (offset: tag + node id).
-        payload[target.offset + 1 + 8] ^= 1;
-        desc << "flipped join corruption bit at step " << target.step;
-      } else {
-        // Nudge byz_joins within [0, joins] (offsets: tag, joins,
-        // byz_joins).
-        const std::uint64_t joins = read_u64_at(payload, target.offset + 1);
-        const std::size_t byz_off = target.offset + 1 + 8;
-        const std::uint64_t byz = read_u64_at(payload, byz_off);
-        write_u64_at(payload, byz_off, byz > 0 ? byz - 1 : byz + 1);
-        desc << "changed batch byzantine joins " << byz << " -> "
-             << (byz > 0 ? byz - 1 : byz + 1) << " (of " << joins
-             << ") at step " << target.step;
-      }
-      break;
-    }
-    case TraceMutationKind::kSampleField: {
-      // Bump num_nodes (offsets: tag, step, num_nodes).
-      const std::size_t off = target.offset + 1 + 8;
-      write_u64_at(payload, off, read_u64_at(payload, off) + 1);
-      desc << "bumped sample num_nodes at step " << target.step;
-      break;
-    }
-    case TraceMutationKind::kSummaryField: {
-      // Bump final_nodes (offsets: tag, peak f64, ever u8,
-      // first_compromise, splits, merges).
-      const std::size_t off = target.offset + 1 + 8 + 1 + 8 + 8 + 8;
-      write_u64_at(payload, off, read_u64_at(payload, off) + 1);
-      desc << "bumped summary final_nodes (end frame at step "
-           << target.step << ")";
-      break;
-    }
-  }
+  std::visit(
+      Overloaded{
+          [&](JoinFrame& f) {
+            f.byzantine = !f.byzantine;
+            desc << "flipped join corruption bit at step " << target.step;
+          },
+          [&](BatchFrame& f) {
+            const std::uint64_t byz = f.byzantine_joins;
+            f.byzantine_joins = byz > 0 ? byz - 1 : byz + 1;
+            desc << "changed batch byzantine joins " << byz << " -> "
+                 << f.byzantine_joins << " (of " << f.joins
+                 << ") at step " << target.step;
+          },
+          [&](SampleFrame& f) {
+            ++f.sample.num_nodes;
+            desc << "bumped sample num_nodes at step " << target.step;
+          },
+          [&](EndFrame& f) {
+            ++f.summary.final_nodes;
+            desc << "bumped summary final_nodes (end frame at step "
+                 << target.step << ")";
+          },
+          [](auto&) {}},
+      target.frame);
   mutation.description = desc.str();
 
   core::SnapshotWriter w;
-  w.bytes(payload.data(), payload.size());
+  write_header(w, trace.header);
+  for (const DecodedFrame& f : trace.frames) {
+    std::visit([&](const auto& frame) { write_frame(w, frame); }, f.frame);
+  }
   w.write_file(out_path, kTraceMagic, kTraceFormatVersion);
   return mutation;
-}
-
-std::string describe_trace(const std::string& path) {
-  core::SnapshotReader reader = open_trace(path);
-  const TraceHeader h = read_header(reader);
-  std::ostringstream os;
-  os << "v" << reader.version() << " seed=" << h.seed << " steps="
-     << h.steps << " n0=" << h.n0 << " byz0=" << h.byz0
-     << " tau=" << h.params.tau << " k=" << h.params.k
-     << " adversary=" << h.adversary;
-  if (h.batch_ops > 0) {
-    os << " batch_ops=" << h.batch_ops << " shards=" << h.shards
-       << " byz_fraction=" << h.batch_byz_fraction << " placement="
-       << (h.placement == BatchPlacement::kTargeted ? "targeted"
-                                                    : "uniform")
-       << " leave_quota=" << h.leave_quota;
-  }
-  os << " checkpoints=" << read_footer(reader).checkpoints.size();
-  if (!h.params.shuffle_enabled) os << " (no-shuffle)";
-  return os.str();
 }
 
 // ----------------------------------------------------------- checkpoints

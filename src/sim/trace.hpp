@@ -17,14 +17,17 @@
 // reproducer (sim/corpus.hpp, bench/corpus/).
 //
 // Traces are SEEKABLE (DESIGN.md §10): the recorder embeds periodic full
-// system snapshots (core/snapshot.hpp save_system payloads) as checkpoint
-// frames, and a footer indexes their (step, byte offset) pairs so replay
-// can restore any checkpoint in O(1) and continue from there
-// bit-identically. Full replays byte-compare the live state against every
-// embedded snapshot — each checkpoint is an extra observation point
-// between samples — and bisect_trace binary-searches the checkpoint index
-// to localize a divergence with O(log steps) restores instead of an
-// O(steps) replay per hypothesis.
+// system snapshots (core/snapshot.hpp save_system payloads) as
+// length-prefixed checkpoint frames. Readers find them by walking the
+// frames, skipping each snapshot by its length, so replay can restore any
+// checkpoint and continue from there bit-identically. Full replays
+// byte-compare the live state against every embedded snapshot — each
+// checkpoint is an extra observation point between samples — and
+// bisect_trace binary-searches the checkpoints to localize a divergence
+// with O(log steps) restores instead of an O(steps) replay per hypothesis.
+//
+// One frame codec (trace.cpp) encodes and decodes every frame kind for
+// the recorder, replay, the checkpoint listing, info and mutation.
 //
 // The same file also defines the scenario CHECKPOINT format — the system
 // snapshot (core/snapshot.hpp) wrapped with the scenario driver's own
@@ -52,8 +55,10 @@ namespace now::sim {
 // payloads, so both versions follow every snapshot version bump.
 //   trace v1 — header + event/sample/summary frames;
 //   trace v2 — checkpoint frames + footer index;
-//   trace v3 — embedded snapshots are snapshot v3 (no PlanCache blob).
-inline constexpr std::uint32_t kTraceFormatVersion = 3;
+//   trace v3 — embedded snapshots are snapshot v3 (no PlanCache blob);
+//   trace v4 — no footer index (checkpoints are found by walking the
+//              frames) and no per-batch shard word (the header's counts).
+inline constexpr std::uint32_t kTraceFormatVersion = 4;
 inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /// Records a scenario into an in-memory trace; run_scenario drives it
@@ -70,8 +75,7 @@ class TraceRecorder final : public core::TraceSink {
   void on_join(NodeId node, bool byzantine) override;
   void on_leave(NodeId node) override;
   void on_batch(std::size_t joins, std::size_t byzantine_joins,
-                const std::vector<NodeId>& leaves,
-                std::size_t shards) override;
+                const std::vector<NodeId>& leaves) override;
 
   void begin_step(std::size_t t);
   void record_sample(const InvariantSample& sample);
@@ -86,15 +90,11 @@ class TraceRecorder final : public core::TraceSink {
                          std::size_t merges_so_far,
                          const ScenarioResult& partial);
 
-  /// Appends the end-of-run summary and the checkpoint footer and writes
-  /// the framed file.
+  /// Appends the end-of-run summary and writes the framed file.
   void finish(const ScenarioResult& result, const std::string& path);
 
  private:
   core::SnapshotWriter writer_;
-  /// (step, payload byte offset of the frame tag) per embedded checkpoint,
-  /// in step order — becomes the footer.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> checkpoints_;
 };
 
 /// Sentinel for ReplayOptions::start_checkpoint: replay from scratch
@@ -106,9 +106,8 @@ inline constexpr std::size_t kReplayFromStart = static_cast<std::size_t>(-1);
 /// count is an equivalence axis of the engine, and seeking restores
 /// recorded state verbatim).
 struct ReplayOptions {
-  /// 0 = run each batch frame with its recorded shard count; otherwise
-  /// override every batch with this count (the replay-level shard
-  /// equivalence check).
+  /// 0 = run every batch with the header's shard count; otherwise with
+  /// this count (the replay-level shard equivalence check).
   std::size_t shards_override = 0;
   /// Index into trace_checkpoints() to restore and continue from;
   /// kReplayFromStart replays the whole trace.
@@ -143,23 +142,22 @@ struct TraceReplayResult {
 /// Re-drives a deployment from the trace and verifies every recorded
 /// invariant sample, every embedded checkpoint snapshot (byte-exact)
 /// and the end-of-run summary. Throws core::SnapshotError on malformed
-/// files (bad footer, dangling checkpoint offsets, truncation, a batch
-/// frame with more joins than the header's batch_ops or a repeated leave
-/// victim);
+/// files (a bad header, truncation, an unknown frame tag, a checkpoint
+/// snapshot running past the payload, non-increasing checkpoint steps,
+/// a batch frame with more joins than the header's batch_ops or a
+/// repeated leave victim) before it replays anything;
 /// event/sample divergence is reported through the result instead (it
 /// means behavior drifted, not that the file is damaged).
 [[nodiscard]] TraceReplayResult replay_trace(const std::string& path,
                                              const ReplayOptions& opts = {});
 
-/// One entry of a trace's checkpoint footer.
+/// One embedded checkpoint of a trace.
 struct TraceCheckpointInfo {
   std::size_t step = 0;
-  /// Byte offset of the checkpoint frame's tag within the payload.
-  std::uint64_t offset = 0;
 };
 
-/// The checkpoint index from a trace's footer, in step order. Throws
-/// core::SnapshotError on a malformed footer.
+/// The trace's embedded checkpoints in step order, found by walking the
+/// frames. Throws core::SnapshotError on a malformed trace.
 [[nodiscard]] std::vector<TraceCheckpointInfo> trace_checkpoints(
     const std::string& path);
 
@@ -167,6 +165,10 @@ struct TraceCheckpointInfo {
 /// corpus manifest machinery).
 struct TraceInfo {
   std::uint32_t version = 0;
+  /// The recorded params; params.tau, the adversary budget, is enough to
+  /// re-classify a replayed trajectory's failure kind without the
+  /// original ScenarioConfig.
+  core::NowParams params;
   std::uint64_t seed = 0;
   std::size_t steps = 0;
   std::size_t sample_every = 0;
@@ -174,9 +176,9 @@ struct TraceInfo {
   std::size_t byz0 = 0;
   std::size_t batch_ops = 0;
   std::size_t shards = 0;
-  /// The recorded adversary budget — enough to re-classify a replayed
-  /// trajectory's failure kind without the original ScenarioConfig.
-  double tau = 0.0;
+  double batch_byz_fraction = 0.0;
+  BatchPlacement placement = BatchPlacement::kUniform;
+  std::size_t leave_quota = 0;
   std::string adversary;
   std::size_t checkpoint_count = 0;
 };
@@ -202,15 +204,16 @@ struct TraceBisectResult {
 };
 
 /// Localizes a divergence: one from-scratch replay anchors the failure,
-/// then a binary search over the checkpoint index finds the last
+/// then a binary search over the checkpoints finds the last
 /// checkpoint that still replays clean — monotone because every clean
 /// probe byte-verifies the later embedded snapshots, pinning the suffix
 /// to the recorded trajectory. O(log steps) checkpoint restores total.
 [[nodiscard]] TraceBisectResult bisect_trace(const std::string& path);
 
 /// Fault-injection for the replay verifier (the mutation tests): each
-/// kind corrupts ONE recorded fact, re-frames the file with a valid
-/// checksum, and replay must report a divergence — never silently pass.
+/// kind corrupts ONE recorded fact — the trace is decoded, one field
+/// edited and every frame re-encoded with a valid checksum — and replay
+/// must report a divergence, never silently pass.
 enum class TraceMutationKind {
   /// Flip a recorded event: a join's corruption bit, or a batch frame's
   /// byzantine-join count (within bounds). The replayed trajectory forks
@@ -240,8 +243,8 @@ TraceMutation mutate_trace(const std::string& path,
                            const std::string& out_path,
                            TraceMutationKind kind, std::uint64_t pick);
 
-/// One-line human summary of a trace's header + summary frames (the
-/// `now_trace info` listing and the corpus manifest).
+/// One-line human summary of trace_info (the `now_trace info` listing and
+/// the corpus manifest).
 [[nodiscard]] std::string describe_trace(const std::string& path);
 
 // ----------------------------------------------------------- checkpoints

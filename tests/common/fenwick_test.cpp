@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace now {
 namespace {
@@ -58,62 +57,36 @@ TEST(FenwickTest, SubtractAndReuse) {
   EXPECT_EQ(tree.find(0), 0u);
 }
 
-TEST(FenwickTest, BlockedRebuildIsBitIdenticalToSequential) {
-  // The sharded stage-2 commit hands apply_deltas a pool; the blocked
-  // parallel rebuild must produce the exact tree the sequential rebuild
-  // does for every size x block-count combination (including sizes below
-  // the parallel threshold, where it falls back to the sequential path).
-  ThreadPool pool(3);
-  for (const std::size_t n : {1UL, 7UL, 1024UL, 4096UL, 10000UL, 65536UL}) {
-    FenwickTree sequential;
-    sequential.resize(n);
-    Rng rng{n};
-    for (std::size_t i = 0; i < n; ++i) sequential.add(i, rng.uniform(100));
-
-    FenwickTree blocked;
-    blocked.resize(n);
-    for (std::size_t i = 0; i < n; ++i) blocked.add(i, sequential.value_at(i));
-    for (const std::size_t blocks : {1UL, 3UL, 4UL, 8UL, 64UL}) {
-      blocked.rebuild_bulk(pool, blocks);
-      ASSERT_EQ(blocked.total(), sequential.total())
-          << "n=" << n << " blocks=" << blocks;
-      for (std::size_t i = 0; i <= n; i += std::max<std::size_t>(1, n / 97)) {
-        ASSERT_EQ(blocked.prefix_sum(i), sequential.prefix_sum(i))
-            << "n=" << n << " blocks=" << blocks << " prefix " << i;
-      }
-      for (std::uint64_t t = 0; t < sequential.total();
-           t += std::max<std::uint64_t>(1, sequential.total() / 131)) {
-        ASSERT_EQ(blocked.find(t), sequential.find(t))
-            << "n=" << n << " blocks=" << blocks << " target " << t;
-      }
-    }
-  }
-}
-
-TEST(FenwickTest, ApplyDeltasPooledMatchesSequential) {
-  // Drive apply_deltas down its rebuild branch (many deltas) with and
-  // without a pool; the resulting trees must agree everywhere.
+TEST(FenwickTest, ApplyDeltasRebuildMatchesPointUpdates) {
+  // One large delta batch takes apply_deltas' O(k) rebuild branch; the
+  // same deltas fed one at a time take the point-update branch. Both must
+  // leave the identical tree.
   constexpr std::size_t kN = 8192;
-  ThreadPool pool(3);
-  FenwickTree with_pool;
-  FenwickTree without_pool;
-  with_pool.resize(kN);
-  without_pool.resize(kN);
+  FenwickTree rebuilt;
+  FenwickTree updated;
+  rebuilt.resize(kN);
+  updated.resize(kN);
   Rng rng{99};
   for (std::size_t i = 0; i < kN; ++i) {
     const std::uint64_t v = rng.uniform(50) + 1;
-    with_pool.add(i, v);
-    without_pool.add(i, v);
+    rebuilt.add(i, v);
+    updated.add(i, v);
   }
   std::vector<std::pair<std::size_t, std::int64_t>> deltas;
   for (std::size_t i = 0; i < kN; i += 2) {
     deltas.emplace_back(i, i % 4 == 0 ? 3 : -1);
   }
-  with_pool.apply_deltas(deltas, &pool, 8);
-  without_pool.apply_deltas(deltas);
-  ASSERT_EQ(with_pool.total(), without_pool.total());
-  for (std::size_t i = 0; i <= kN; i += 37) {
-    ASSERT_EQ(with_pool.prefix_sum(i), without_pool.prefix_sum(i));
+  rebuilt.apply_deltas(deltas);
+  for (const auto& delta : deltas) updated.apply_deltas({&delta, 1});
+  ASSERT_EQ(rebuilt.total(), updated.total());
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(rebuilt.value_at(i), updated.value_at(i)) << "value " << i;
+  }
+  for (std::size_t i = 0; i <= kN; ++i) {
+    ASSERT_EQ(rebuilt.prefix_sum(i), updated.prefix_sum(i)) << "prefix " << i;
+  }
+  for (std::uint64_t t = 0; t < rebuilt.total(); t += 97) {
+    ASSERT_EQ(rebuilt.find(t), updated.find(t)) << "target " << t;
   }
 }
 

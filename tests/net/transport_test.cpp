@@ -229,39 +229,6 @@ TEST(FaultyTransportTest, DelayedMessagesArriveWithinBound) {
   }
 }
 
-TEST(FaultyTransportTest, FaultEventLogRoundTripsThroughSnapshot) {
-  InProcTransport inner;
-  FaultPlan plan;
-  plan.drop = 0.5;
-  FaultyTransport faulty{inner, plan, 3};
-  faulty.open_endpoint(NodeId{1});
-  faulty.open_endpoint(NodeId{2});
-  for (std::size_t round = 0; round < 8; ++round) {
-    faulty.send(Message{NodeId{1}, NodeId{2}, Tag::kApp, make_words({round})});
-    faulty.end_round(round);
-  }
-  ASSERT_FALSE(faulty.events().empty());
-
-  const std::string path =
-      (fs::temp_directory_path() /
-       ("now_fault_events_" + std::to_string(::getpid()) + ".bin"))
-          .string();
-  faulty.save_events(path);
-  core::SnapshotReader reader =
-      core::SnapshotReader::read_file(path, "NWFAULTS", 1, 1);
-  const std::uint64_t count = reader.u64();
-  ASSERT_EQ(count, faulty.events().size());
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const FaultEvent& e = faulty.events()[i];
-    EXPECT_EQ(reader.u8(), static_cast<std::uint8_t>(e.kind));
-    EXPECT_EQ(reader.u64(), e.round);
-    EXPECT_EQ(reader.u64(), e.from.value());
-    EXPECT_EQ(reader.u64(), e.to.value());
-    EXPECT_EQ(reader.u64(), e.until_round);
-  }
-  fs::remove(path);
-}
-
 // ------------------------------------------------- sharded runtime parity
 
 sim::ShardSpec small_spec(std::uint64_t seed) {

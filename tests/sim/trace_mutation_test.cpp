@@ -3,12 +3,15 @@
 // replay must report a divergence at the right step, never silently pass.
 // Also the bisection acceptance: an injected divergence in a >= 500-step
 // trace is localized with at most ceil(log2(steps / checkpoint_every)) + 2
-// checkpoint restores.
+// checkpoint restores, and mutation re-encodes every untouched byte of the
+// checked-in corpus.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "adversary/adversary.hpp"
 #include "core/snapshot.hpp"
@@ -136,8 +139,8 @@ TEST(TraceMutationTest, NoMutationEverSilentlyPasses) {
 }
 
 TEST(TraceMutationTest, BisectLocalizesDivergenceWithLogRestores) {
-  // Acceptance: a >= 500-step trace with checkpoint_every = 25, one
-  // injected event corruption, localized in at most
+  // Acceptance: a >= 500-step trace (checkpoint_every = 500 / 8 = 62),
+  // one injected event corruption, localized in at most
   // ceil(log2(steps / checkpoint_every)) + 2 checkpoint restores.
   const std::string path = temp_path("bisect_long.trace");
   const std::string mutated = temp_path("bisect_long_out.trace");
@@ -156,11 +159,11 @@ TEST(TraceMutationTest, BisectLocalizesDivergenceWithLogRestores) {
   config.batch_byz_fraction = 0.10;
   config.batch_placement = BatchPlacement::kTargeted;
   config.batch_leave_quota = 1;
-  config.trace_checkpoint_every = 25;
   (void)record_trace(config, path);
+  constexpr std::size_t kCheckpointEvery = 500 / 8;
 
   const auto checkpoints = trace_checkpoints(path);
-  ASSERT_EQ(checkpoints.size(), 500u / 25 - 1);  // 25, 50, ..., 475
+  ASSERT_EQ(checkpoints.size(), 8u);  // 62, 124, ..., 496
 
   // A clean trace bisects to "no divergence" with zero restores.
   const TraceBisectResult clean = bisect_trace(path);
@@ -186,14 +189,64 @@ TEST(TraceMutationTest, BisectLocalizesDivergenceWithLogRestores) {
   EXPECT_LT(bisect.fork_lower_bound, m.step);
   EXPECT_LE(m.step, bisect.first_bad_step);
   // The interval is checkpoint-cadence tight.
-  EXPECT_LE(bisect.first_bad_step - bisect.fork_lower_bound, 2u * 25u);
+  EXPECT_LE(bisect.first_bad_step - bisect.fork_lower_bound,
+            2 * kCheckpointEvery);
 
-  const auto budget = static_cast<std::size_t>(
-      std::ceil(std::log2(static_cast<double>(config.steps) / 25.0))) + 2;
+  const auto budget =
+      static_cast<std::size_t>(std::ceil(std::log2(
+          static_cast<double>(config.steps) / kCheckpointEvery))) +
+      2;
   EXPECT_LE(bisect.restores, budget)
       << "bisection used " << bisect.restores << " restores over "
       << bisect.probes << " probes";
   std::remove(path.c_str());
+  std::remove(mutated.c_str());
+}
+
+TEST(TraceMutationTest, MutationChangesOnlyTheMutatedFieldOfTheCorpus) {
+  // mutate_trace decodes the trace, edits one field and re-encodes every
+  // frame through the codec. So on every checked-in corpus trace and for
+  // every kind, the output payload equals the input everywhere outside
+  // that one field (a u64 or a u8 flag: at most 8 bytes).
+  const std::string mutated = temp_path("mut_corpus_out.trace");
+  const auto payload_of = [](const std::string& path) {
+    core::SnapshotReader reader = core::SnapshotReader::read_file(
+        path, "NOWTRAC1", kTraceFormatVersion, kTraceFormatVersion);
+    std::vector<std::uint8_t> payload(reader.size());
+    reader.bytes(payload.data(), payload.size());
+    return payload;
+  };
+  const TraceMutationKind kinds[] = {TraceMutationKind::kEventBit,
+                                     TraceMutationKind::kSampleField,
+                                     TraceMutationKind::kSummaryField};
+  std::size_t traces = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(NOW_SOURCE_DIR) + "/bench/corpus")) {
+    if (entry.path().extension() != ".trace") continue;
+    ++traces;
+    const std::string path = entry.path().string();
+    const std::vector<std::uint8_t> original = payload_of(path);
+    for (const TraceMutationKind kind : kinds) {
+      for (const std::uint64_t pick : {std::uint64_t{0}, std::uint64_t{5}}) {
+        const TraceMutation m = mutate_trace(path, mutated, kind, pick);
+        ASSERT_TRUE(m.applied) << path;
+        const std::vector<std::uint8_t> changed = payload_of(mutated);
+        ASSERT_EQ(changed.size(), original.size()) << m.description;
+        std::size_t first = original.size();
+        std::size_t last = 0;
+        for (std::size_t i = 0; i < original.size(); ++i) {
+          if (changed[i] != original[i]) {
+            first = std::min(first, i);
+            last = i;
+          }
+        }
+        ASSERT_LT(first, original.size())
+            << path << ": mutation changed nothing: " << m.description;
+        EXPECT_LT(last - first, 8u) << path << ": " << m.description;
+      }
+    }
+  }
+  EXPECT_EQ(traces, 6u);
   std::remove(mutated.c_str());
 }
 

@@ -1,8 +1,8 @@
-// Seekable traces (DESIGN.md §10): embedded checkpoints + footer index +
-// seekable replay. Covers the footer round trip, seek-restore-continue
-// bit-identity against the full replay (across shard counts), the
-// rejection of previous format versions, and the malformed-footer
-// rejection paths.
+// Seekable traces (DESIGN.md §10): embedded checkpoints found by walking
+// the frames + seekable replay. Covers the checkpoint cadence,
+// seek-restore-continue bit-identity against the full replay (across shard
+// counts), the rejection of previous format versions, and the
+// malformed-checkpoint-frame rejection paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,15 +69,6 @@ void write_file_bytes(const std::string& path,
            static_cast<std::streamsize>(bytes.size()));
 }
 
-std::uint64_t read_u64_le(const std::vector<std::uint8_t>& buf,
-                          std::size_t off) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(buf[off + i]) << (8 * i);
-  }
-  return v;
-}
-
 void write_u64_le(std::vector<std::uint8_t>& buf, std::size_t off,
                   std::uint64_t v) {
   for (std::size_t i = 0; i < 8; ++i) {
@@ -107,30 +98,30 @@ void corrupt_payload(const std::string& path,
   write_file_bytes(path, file);
 }
 
-TEST(TraceSeekTest, RecorderEmbedsCheckpointsAtRequestedCadence) {
+TEST(TraceSeekTest, RecorderEmbedsCheckpointsEveryEighthOfTheHorizon) {
   const std::string path = temp_path("seek_cadence.trace");
   ScenarioConfig config = batched_config(101);
-  config.trace_checkpoint_every = 10;
+  config.steps = 96;  // cadence max(8, 96 / 8) = 12
   (void)record_trace(config, path);
 
   const TraceInfo info = trace_info(path);
   EXPECT_EQ(info.version, kTraceFormatVersion);
   EXPECT_EQ(info.steps, config.steps);
-  EXPECT_EQ(info.tau, config.params.tau);
+  EXPECT_EQ(info.params.tau, config.params.tau);
 
-  // Checkpoints at 10, 20, 30 — never at the final step (the end summary
-  // already covers it).
+  // Checkpoints at 12, 24, ..., 84 — never at the final step (the end
+  // summary already covers it).
   const auto checkpoints = trace_checkpoints(path);
-  ASSERT_EQ(checkpoints.size(), 3u);
-  EXPECT_EQ(checkpoints[0].step, 10u);
-  EXPECT_EQ(checkpoints[1].step, 20u);
-  EXPECT_EQ(checkpoints[2].step, 30u);
-  EXPECT_EQ(info.checkpoint_count, 3u);
+  ASSERT_EQ(checkpoints.size(), 7u);
+  for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+    EXPECT_EQ(checkpoints[i].step, 12 * (i + 1)) << "checkpoint " << i;
+  }
+  EXPECT_EQ(info.checkpoint_count, 7u);
 
   // The full replay byte-verifies each embedded snapshot.
   const TraceReplayResult replay = replay_trace(path);
   ASSERT_TRUE(replay.ok) << replay.error;
-  EXPECT_EQ(replay.checkpoints_checked, 3u);
+  EXPECT_EQ(replay.checkpoints_checked, 7u);
   std::remove(path.c_str());
 }
 
@@ -146,15 +137,13 @@ TEST(TraceSeekTest, AutoCadenceTargetsAboutEightCheckpoints) {
 
 TEST(TraceSeekTest, SeekRestoreContinueMatchesFullReplay) {
   const std::string path = temp_path("seek_continue.trace");
-  ScenarioConfig config = batched_config(107);
-  config.trace_checkpoint_every = 10;
-  (void)record_trace(config, path);
+  (void)record_trace(batched_config(107), path);
 
   const TraceReplayResult full = replay_trace(path);
   ASSERT_TRUE(full.ok) << full.error;
 
   const auto checkpoints = trace_checkpoints(path);
-  ASSERT_EQ(checkpoints.size(), 3u);
+  ASSERT_EQ(checkpoints.size(), 4u);  // 8, 16, 24, 32
   for (std::size_t i = 0; i < checkpoints.size(); ++i) {
     ReplayOptions opts;
     opts.start_checkpoint = i;
@@ -187,9 +176,7 @@ TEST(TraceSeekTest, SeekRestoreContinueMatchesFullReplay) {
 
 TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShards) {
   const std::string path = temp_path("seek_equiv.trace");
-  ScenarioConfig config = batched_config(109);
-  config.trace_checkpoint_every = 10;
-  (void)record_trace(config, path);
+  (void)record_trace(batched_config(109), path);
 
   const TraceReplayResult full = replay_trace(path);
   ASSERT_TRUE(full.ok) << full.error;
@@ -211,10 +198,10 @@ TEST(TraceSeekTest, SeekIsBitIdenticalAcrossShards) {
 }
 
 TEST(TraceSeekTest, PreviousFormatVersionFailsAtTheVersionCheck) {
-  // A v2 trace is intact and checksummed, but its embedded checkpoints
-  // hold v2 snapshots: replaying it must fail as an unsupported version,
-  // not report the format change as a behavior divergence.
-  const std::string path = temp_path("seek_v2.trace");
+  // A v3 trace is intact and checksummed, but its footer and batch shard
+  // words are gone from v4: replaying it must fail as an unsupported
+  // version, not report the format change as a behavior divergence.
+  const std::string path = temp_path("seek_v3.trace");
   (void)record_trace(batched_config(151), path);
   core::SnapshotReader current = core::SnapshotReader::read_file(
       path, "NOWTRAC1", kTraceFormatVersion, kTraceFormatVersion);
@@ -222,14 +209,14 @@ TEST(TraceSeekTest, PreviousFormatVersionFailsAtTheVersionCheck) {
   current.bytes(payload.data(), payload.size());
   core::SnapshotWriter restamped;
   restamped.bytes(payload.data(), payload.size());
-  restamped.write_file(path, "NOWTRAC1", 2);
+  restamped.write_file(path, "NOWTRAC1", 3);
 
   const auto expect_version_error = [&](const auto& read) {
     try {
       read();
-      ADD_FAILURE() << "a v2 trace was read";
+      ADD_FAILURE() << "a v3 trace was read";
     } catch (const core::SnapshotError& e) {
-      EXPECT_NE(std::string(e.what()).find("unsupported format version 2"),
+      EXPECT_NE(std::string(e.what()).find("unsupported format version 3"),
                 std::string::npos)
           << e.what();
     }
@@ -240,42 +227,74 @@ TEST(TraceSeekTest, PreviousFormatVersionFailsAtTheVersionCheck) {
   std::remove(path.c_str());
 }
 
-TEST(TraceSeekTest, MalformedFootersAreRejectedNotMisparsed) {
+TEST(TraceSeekTest, MalformedCheckpointFramesAreRejectedNotMisparsed) {
+  // Checkpoints are found by walking the frames, so a checkpoint frame
+  // whose snapshot length runs past the payload, or whose step does not
+  // increase, must throw from every reader instead of being misparsed.
   const std::string path = temp_path("seek_malformed.trace");
-  ScenarioConfig config = batched_config(131);
-  config.trace_checkpoint_every = 10;
-  (void)record_trace(config, path);
+  const ScenarioConfig config = batched_config(131);
+  const ScenarioResult partial;  // aggregates: zero splits/merges/peak
+  // Records two batch steps, each followed by a checkpoint stamped with
+  // the given step.
+  const auto record = [&](std::size_t first_step, std::size_t second_step) {
+    Metrics metrics;
+    core::NowSystem system{config.params, metrics, config.seed};
+    system.initialize(config.n0, 80, config.topology);
+    TraceRecorder recorder{config, config.n0, 80, "manual"};
+    system.set_trace_sink(&recorder);
+    Rng driver{config.seed};
+    for (const std::size_t step : {first_step, second_step}) {
+      recorder.begin_step(step);
+      system.step_parallel_mixed(
+          2, 0, system.state().sample_distinct_nodes(driver, 2), 2);
+      recorder.record_checkpoint(step, system, 0, 0, partial);
+    }
+    system.set_trace_sink(nullptr);
+    recorder.finish(partial, path);
+  };
+
+  // Well-formed: both checkpoints are listed and replay reads the file.
+  record(1, 2);
+  ASSERT_EQ(trace_checkpoints(path).size(), 2u);
+  EXPECT_NO_THROW((void)replay_trace(path));
   const std::vector<std::uint8_t> pristine = read_file_bytes(path);
 
-  // Footer offset pointing past the end of the payload.
-  corrupt_payload(path, [](std::vector<std::uint8_t>& payload,
-                           std::size_t size) {
-    write_u64_le(payload, size - 8, size + 1000);
+  // A repeated or decreasing checkpoint step.
+  for (const std::size_t second_step : {2UL, 1UL}) {
+    record(2, second_step);
+    EXPECT_THROW((void)trace_checkpoints(path), core::SnapshotError)
+        << "steps 2, " << second_step;
+    EXPECT_THROW((void)replay_trace(path), core::SnapshotError)
+        << "steps 2, " << second_step;
+  }
+
+  // The first checkpoint's snapshot length, bumped past the payload. The
+  // frame is tag 7, then step, splits, merges, peak, ever-compromised and
+  // first-compromise step, then the length.
+  core::SnapshotWriter prefix;
+  prefix.u8(7);
+  prefix.u64(1);
+  prefix.u64(0);
+  prefix.u64(0);
+  prefix.f64(partial.peak_byz_fraction);
+  prefix.u8(0);
+  prefix.u64(partial.first_compromise_step);
+  write_file_bytes(path, pristine);
+  corrupt_payload(path, [&](std::vector<std::uint8_t>& payload,
+                            std::size_t size) {
+    const auto frame = std::search(payload.begin(), payload.end(),
+                                   prefix.buffer().begin(),
+                                   prefix.buffer().end());
+    ASSERT_NE(frame, payload.end());
+    const auto length_at = static_cast<std::size_t>(frame - payload.begin()) +
+                           prefix.buffer().size();
+    write_u64_le(payload, length_at, size);
   });
   EXPECT_THROW((void)trace_checkpoints(path), core::SnapshotError);
   EXPECT_THROW((void)replay_trace(path), core::SnapshotError);
+  EXPECT_THROW((void)trace_info(path), core::SnapshotError);
 
-  // Footer offset landing mid-stream (magic tripwire).
-  write_file_bytes(path, pristine);
-  corrupt_payload(path, [](std::vector<std::uint8_t>& payload,
-                           std::size_t size) {
-    write_u64_le(payload, size - 8, 4);
-  });
-  EXPECT_THROW((void)trace_checkpoints(path), core::SnapshotError);
-
-  // A checkpoint index entry pointing past the event stream ("offset past
-  // EOF" flavor): entry 0's offset field lives at footer + 4 (magic) + 8
-  // (count) + 8 (step).
-  write_file_bytes(path, pristine);
-  corrupt_payload(path, [](std::vector<std::uint8_t>& payload,
-                           std::size_t size) {
-    const std::uint64_t footer = read_u64_le(payload, size - 8);
-    write_u64_le(payload, static_cast<std::size_t>(footer) + 4 + 8 + 8,
-                 footer + 1);
-  });
-  EXPECT_THROW((void)trace_checkpoints(path), core::SnapshotError);
-
-  // Plain truncation (footer cut off) dies at the checksum gate.
+  // Plain truncation dies at the checksum gate.
   std::vector<std::uint8_t> truncated = pristine;
   truncated.resize(truncated.size() - 20);
   write_file_bytes(path, truncated);

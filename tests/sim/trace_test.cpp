@@ -178,11 +178,11 @@ TEST(TraceTest, MalformedBatchFramesAreRejectedNotReplayed) {
       path, "NOWTRAC1", kTraceFormatVersion, kTraceFormatVersion);
   std::vector<std::uint8_t> pristine(reader.size());
   reader.bytes(pristine.data(), pristine.size());
-  // The frame's tail: joins, byz_joins, shards, victim count, victims.
+  // The frame's tail: joins, byz_joins, victim count, victims.
   std::vector<std::uint8_t> tail;
   for (const std::uint64_t field :
        {std::uint64_t{4}, std::uint64_t{1}, std::uint64_t{2},
-        std::uint64_t{2}, victims[0].value(), victims[1].value()}) {
+        victims[0].value(), victims[1].value()}) {
     const std::vector<std::uint8_t> bytes = le_bytes(field);
     tail.insert(tail.end(), bytes.begin(), bytes.end());
   }
@@ -191,7 +191,7 @@ TEST(TraceTest, MalformedBatchFramesAreRejectedNotReplayed) {
   ASSERT_NE(frame, pristine.end());
   const std::size_t joins_at =
       static_cast<std::size_t>(frame - pristine.begin());
-  const std::size_t second_victim_at = joins_at + 5 * 8;
+  const std::size_t second_victim_at = joins_at + 4 * 8;
 
   const auto expect_rejected = [&](std::size_t offset, std::uint64_t value,
                                    const std::string& message) {
@@ -220,6 +220,79 @@ TEST(TraceTest, MalformedBatchFramesAreRejectedNotReplayed) {
   restamped.bytes(pristine.data(), pristine.size());
   restamped.write_file(path, "NOWTRAC1", kTraceFormatVersion);
   EXPECT_NO_THROW((void)replay_trace(path));
+  std::remove(path.c_str());
+}
+
+TEST(TraceTest, MalformedHeadersAreRejectedNotReplayed) {
+  // A re-stamped trace (intact checksum) whose header no recorder writes
+  // must throw SnapshotError from every reader before anything runs.
+  // Otherwise k < 1 divides by zero in initialize(), an out-of-range enum
+  // replays as some other mode, and an impossible n0/byz0 shows up as a
+  // step-0 divergence.
+  const std::string path = temp_path("now_malformed_header.trace");
+  ScenarioConfig config = batched_config(41);
+  config.steps = 4;
+  config.trace_path = path;
+  Metrics metrics;
+  adversary::RandomChurnAdversary adversary{
+      config.params.tau, adversary::ChurnSchedule::hold(config.n0)};
+  (void)run_scenario(config, adversary, metrics);
+  core::SnapshotReader reader = core::SnapshotReader::read_file(
+      path, "NOWTRAC1", kTraceFormatVersion, kTraceFormatVersion);
+  std::vector<std::uint8_t> pristine(reader.size());
+  reader.bytes(pristine.data(), pristine.size());
+
+  // Header layout: the params (max_size u64, tau f64, k i64, five f64s,
+  // five u32 enums, the shuffle u8), then seed, steps, sample_every, n0
+  // and byz0 (u64 each), the topology (u32), batch_ops and shards (u64),
+  // the batch Byzantine fraction (f64) and the placement (u32).
+  core::SnapshotWriter params;
+  core::save_params(config.params, params);
+  const std::size_t after_params = params.buffer().size();
+  const std::size_t n0_at = after_params + 3 * 8;
+  const std::size_t byz0_at = n0_at + 8;
+  const std::size_t topology_at = byz0_at + 8;
+  const std::size_t placement_at = topology_at + 4 + 3 * 8;
+  struct Field {
+    const char* name;
+    std::size_t offset;
+    std::size_t width;
+    std::uint64_t value;
+  };
+  const Field fields[] = {
+      {"k = 0", 16, 8, 0},
+      {"k = -1", 16, 8, static_cast<std::uint64_t>(-1)},
+      {"walk_mode", 64, 4, 5},
+      {"merge_policy", 68, 4, 2},
+      {"rand_num_mode", 72, 4, 2},
+      {"robustness", 76, 4, 2},
+      {"threshold_mode", 80, 4, 2},
+      {"topology", topology_at, 4, 3},
+      {"placement", placement_at, 4, 2},
+      {"n0 = 1", n0_at, 8, 1},
+      {"byz0 = n0", byz0_at, 8, config.n0},
+  };
+  for (const Field& field : fields) {
+    std::vector<std::uint8_t> payload = pristine;
+    for (std::size_t i = 0; i < field.width; ++i) {
+      payload[field.offset + i] =
+          static_cast<std::uint8_t>(field.value >> (8 * i));
+    }
+    if (field.offset == n0_at) {  // byz0 = 0, so only n0 is out of range
+      std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(byz0_at), 8,
+                  std::uint8_t{0});
+    }
+    core::SnapshotWriter restamped;
+    restamped.bytes(payload.data(), payload.size());
+    restamped.write_file(path, "NOWTRAC1", kTraceFormatVersion);
+    EXPECT_THROW((void)replay_trace(path), core::SnapshotError) << field.name;
+    EXPECT_THROW((void)trace_info(path), core::SnapshotError) << field.name;
+  }
+  // The untouched header is well-formed.
+  core::SnapshotWriter restamped;
+  restamped.bytes(pristine.data(), pristine.size());
+  restamped.write_file(path, "NOWTRAC1", kTraceFormatVersion);
+  EXPECT_TRUE(replay_trace(path).ok);
   std::remove(path.c_str());
 }
 

@@ -314,7 +314,7 @@ int run_recheck(const std::vector<std::string>& args) {
         std::cerr << "DIVERGED " << name << ": " << replay.error << "\n";
         continue;
       }
-      const double tau = now::sim::trace_info(path).tau;
+      const double tau = now::sim::trace_info(path).params.tau;
       const FailureKind observed =
           now::sim::classify_failure(tau, replay.result);
       if (observed != expected) {
