@@ -54,21 +54,22 @@ void run() {
         // budget by unmarking the same number elsewhere.
         std::vector<NodeId> added;
         for (const NodeId m : state.cluster_at(target).members()) {
-          if (state.byzantine.insert(m)) added.push_back(m);
+          if (state.set_byzantine(m, true)) added.push_back(m);
         }
+        // Unmarking swaps the last mark into position i, which is then
+        // visited next.
         std::size_t to_unmark = added.size();
-        for (auto it = state.byzantine.begin();
-             it != state.byzantine.end() && to_unmark > 0;) {
-          if (state.home_of(*it) != target) {
-            it = state.byzantine.erase(it);
+        for (std::size_t i = 0; i < state.byzantine.size() && to_unmark > 0;) {
+          const NodeId b = state.byzantine.at_index(i);
+          if (state.home_of(b) != target) {
+            state.set_byzantine(b, false);
             --to_unmark;
           } else {
-            ++it;
+            ++i;
           }
         }
         system.exchange_all(target);
-        const double p = cluster::byzantine_fraction(
-            state.cluster_at(target), state.byzantine);
+        const double p = state.byzantine_fraction(target);
         fraction.add(p);
         if (p > tau * (1 + kEps)) ++tail;
         if (p >= 1.0 / 3.0) ++compromised;

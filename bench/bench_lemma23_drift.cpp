@@ -63,21 +63,23 @@ void run() {
         const bool should_be_byz = i < want;
         const bool is_byz = state.byzantine.contains(members[i]);
         if (should_be_byz && !is_byz) {
-          state.byzantine.insert(members[i]);
+          state.set_byzantine(members[i], true);
           ++delta_added;
         } else if (!should_be_byz && is_byz) {
-          state.byzantine.erase(members[i]);
+          state.set_byzantine(members[i], false);
           // One fewer to remove elsewhere.
           if (delta_added > 0) --delta_added;
         }
       }
-      for (auto it = state.byzantine.begin();
-           it != state.byzantine.end() && delta_added > 0;) {
-        if (state.home_of(*it) != target) {
-          it = state.byzantine.erase(it);
+      // Unmarking swaps the last mark into position i, which is then
+      // visited next.
+      for (std::size_t i = 0; i < state.byzantine.size() && delta_added > 0;) {
+        const NodeId b = state.byzantine.at_index(i);
+        if (state.home_of(b) != target) {
+          state.set_byzantine(b, false);
           --delta_added;
         } else {
-          ++it;
+          ++i;
         }
       }
 
@@ -87,8 +89,7 @@ void run() {
       std::size_t swaps = 0;
       bool excursion = false;
       for (int round = 0; round < 50; ++round) {
-        const double p =
-            cluster::byzantine_fraction(cluster, state.byzantine);
+        const double p = state.byzantine_fraction(target);
         if (p < recover_line) break;
         if (p > ceiling && round > 0) excursion = true;
         system.exchange_all(target);

@@ -71,7 +71,7 @@ int main() {
       const auto witness = neighbors[system.rng().uniform(neighbors.size())];
       const auto outcome = cluster::cluster_send(
           state.cluster_at(owner), state.cluster_at(witness), /*units=*/2,
-          state.byzantine, metrics);
+          state.byzantine_count(owner), metrics);
       if (outcome.accepted && !outcome.forgeable) {
         ++ok;
       } else {

@@ -5,9 +5,10 @@
 #     existence == build target existence);
 #   * every `Type::<name>` in README.md, DESIGN.md or EXPERIMENTS.md, for
 #     each type of the member table below (NowSystem, NowState, PlanCache,
-#     FenwickTree, ReplayOptions), and every `step_parallel*` token, must
-#     be declared in that type's header (outside comments), so the docs
-#     cannot name a deleted entry point or member;
+#     FenwickTree, ReplayOptions, and the `cluster` namespace), and every
+#     `step_parallel*` token, must be declared in that type's header or
+#     headers (outside comments), so the docs cannot name a deleted entry
+#     point or member;
 #   * every repo path those three docs name under src/, tools/, tests/,
 #     scripts/ or bench/ must exist (brace lists expanded; a glob needs its
 #     directory; a tool or bench named without its .cpp needs the source);
@@ -36,13 +37,15 @@ for doc in README.md EXPERIMENTS.md; do
 done
 
 # The member table: TYPE HEADER KIND. KIND `function` requires a `(`
-# after the name; `member` accepts a function or a field.
+# after the name; `member` accepts a function or a field. HEADER may be a
+# glob: the `cluster` namespace spans every src/cluster header.
 member_table='
 NowSystem     src/core/now.hpp         function
 NowState      src/core/state.hpp       member
 PlanCache     src/core/plan_cache.hpp  member
 FenwickTree   src/common/fenwick.hpp   member
 ReplayOptions src/sim/trace.hpp        member
+cluster       src/cluster/*.hpp        member
 '
 while read -r type header kind; do
   [ -n "$type" ] || continue
@@ -51,7 +54,8 @@ while read -r type header kind; do
   [ "$type" = NowSystem ] && refs+='|step_parallel[A-Za-z0-9_]*'
   decl='([^A-Za-z0-9_]|$)'
   [ "$kind" = function ] && decl='\('
-  declared=$(grep -vE '^[[:space:]]*//' "$header")
+  # shellcheck disable=SC2086  # HEADER may be a glob
+  declared=$(grep -hvE '^[[:space:]]*//' $header)
   for doc in README.md DESIGN.md EXPERIMENTS.md; do
     [ -f "$doc" ] || { echo "missing $doc" >&2; status=1; continue; }
     names=$(grep -oE "$refs" "$doc" | sed "s/^${type}:://" | sort -u \

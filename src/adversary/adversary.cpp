@@ -1,11 +1,21 @@
 #include "adversary/adversary.hpp"
 
-#include <algorithm>
-
-#include "cluster/cluster.hpp"
 #include "core/snapshot.hpp"
 
 namespace now::adversary {
+
+namespace {
+
+/// Full knowledge: keep the target while it lives, else aim at the cluster
+/// the adversary already pollutes the most.
+void retarget(const core::NowSystem& system, ClusterId& target) {
+  const auto& state = system.state();
+  if (!target.valid() || !state.has_cluster(target)) {
+    target = state.most_byzantine_cluster();
+  }
+}
+
+}  // namespace
 
 void Adversary::save_state(core::SnapshotWriter& /*writer*/) const {}
 void Adversary::load_state(core::SnapshotReader& /*reader*/) {}
@@ -76,33 +86,12 @@ void RandomChurnAdversary::step(core::NowSystem& system, std::size_t t,
   }
 }
 
-void JoinLeaveAdversary::retarget(const core::NowSystem& system) {
-  // Full knowledge: aim at the cluster we already pollute the most.
-  const auto& state = system.state();
-  if (target_.valid() && state.has_cluster(target_)) return;
-  double best = -1.0;
-  // Sort the Byzantine ids once; the sweep below then streams each
-  // cluster's slab extent (cluster.hpp's sorted-span overload) instead of
-  // paying a paged NodeSet lookup per member.
-  std::vector<NodeId> sorted_byz(state.byzantine.begin(),
-                                 state.byzantine.end());
-  std::sort(sorted_byz.begin(), sorted_byz.end());
-  for (const ClusterId id : state.cluster_ids()) {
-    const double p =
-        cluster::byzantine_fraction(state.cluster_at(id), sorted_byz);
-    if (p > best) {
-      best = p;
-      target_ = id;
-    }
-  }
-}
-
 void JoinLeaveAdversary::step(core::NowSystem& system, std::size_t t,
                               Rng& rng) {
-  retarget(system);
+  retarget(system, target_);
   if (rng.uniform01() < background_churn_) {
     fallback_.step(system, t, rng);
-    retarget(system);
+    retarget(system, target_);
     return;
   }
 
@@ -120,37 +109,17 @@ void JoinLeaveAdversary::step(core::NowSystem& system, std::size_t t,
   if (outsider.valid() && state.num_nodes() > 2) {
     system.leave(outsider);
     system.join(/*byzantine_node=*/corrupt_next_join(system));
-    retarget(system);
+    retarget(system, target_);
   } else {
     // Everything already in the target (or nothing to move): churn instead.
     fallback_.step(system, t, rng);
-    retarget(system);
-  }
-}
-
-void ForcedLeaveAdversary::retarget(const core::NowSystem& system) {
-  const auto& state = system.state();
-  if (target_.valid() && state.has_cluster(target_)) return;
-  double best = -1.0;
-  // Sort the Byzantine ids once; the sweep below then streams each
-  // cluster's slab extent (cluster.hpp's sorted-span overload) instead of
-  // paying a paged NodeSet lookup per member.
-  std::vector<NodeId> sorted_byz(state.byzantine.begin(),
-                                 state.byzantine.end());
-  std::sort(sorted_byz.begin(), sorted_byz.end());
-  for (const ClusterId id : state.cluster_ids()) {
-    const double p =
-        cluster::byzantine_fraction(state.cluster_at(id), sorted_byz);
-    if (p > best) {
-      best = p;
-      target_ = id;
-    }
+    retarget(system, target_);
   }
 }
 
 void ForcedLeaveAdversary::step(core::NowSystem& system, std::size_t t,
                                 Rng& rng) {
-  retarget(system);
+  retarget(system, target_);
   const auto& state = system.state();
 
   if (t % 2 == 0 && state.num_nodes() > 2) {
@@ -163,12 +132,12 @@ void ForcedLeaveAdversary::step(core::NowSystem& system, std::size_t t,
     }
     if (!honest.empty()) {
       system.leave(honest[rng.uniform(honest.size())]);
-      retarget(system);
+      retarget(system, target_);
       return;
     }
   }
   system.join(corrupt_next_join(system));
-  retarget(system);
+  retarget(system, target_);
 }
 
 void ThrashAdversary::step(core::NowSystem& system, std::size_t /*t*/,

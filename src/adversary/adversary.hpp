@@ -100,8 +100,6 @@ class JoinLeaveAdversary final : public Adversary {
   [[nodiscard]] ClusterId target() const { return target_; }
 
  private:
-  void retarget(const core::NowSystem& system);
-
   RandomChurnAdversary fallback_;
   double background_churn_;
   ClusterId target_ = ClusterId::invalid();
@@ -119,8 +117,6 @@ class ForcedLeaveAdversary final : public Adversary {
   [[nodiscard]] ClusterId target() const { return target_; }
 
  private:
-  void retarget(const core::NowSystem& system);
-
   ClusterId target_ = ClusterId::invalid();
 };
 

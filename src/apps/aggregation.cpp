@@ -61,8 +61,8 @@ AggregationReport aggregate_sum(
     if (c == root_cluster) continue;
     const ClusterId p = parent.at(c);
     const auto outcome = cluster::cluster_send(
-        state.cluster_at(c), state.cluster_at(p), 1, state.byzantine,
-        system.metrics());
+        state.cluster_at(c), state.cluster_at(p), 1,
+        state.byzantine_count(c), system.metrics());
     if (!outcome.accepted) all_relays_honest = false;
     partial[p] += partial[c];
   }

@@ -33,8 +33,8 @@ BroadcastReport broadcast(core::NowSystem& system, NodeId source,
     for (const ClusterId nb : state.overlay.neighbors(c)) {
       if (depth.contains(nb)) continue;
       const auto outcome = cluster::cluster_send(
-          state.cluster_at(c), state.cluster_at(nb), 1, state.byzantine,
-          system.metrics());
+          state.cluster_at(c), state.cluster_at(nb), 1,
+          state.byzantine_count(c), system.metrics());
       if (!outcome.accepted) continue;  // relay lacked an honest majority
       depth[nb] = d + 1;
       max_depth = std::max(max_depth, d + 1);

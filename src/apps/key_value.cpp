@@ -52,7 +52,8 @@ std::size_t KeyValueService::charge_route(ClusterId from, ClusterId to,
   while (cursor != from) {
     const ClusterId prev = parent.at(cursor);
     cluster::cluster_send(state.cluster_at(prev), state.cluster_at(cursor),
-                          units, state.byzantine, system_.metrics());
+                          units, state.byzantine_count(prev),
+                          system_.metrics());
     cursor = prev;
     ++hops;
   }
@@ -75,9 +76,7 @@ KeyValueService::PutResult KeyValueService::put(std::uint64_t key,
   const auto ack =
       charge_route(result.home, contact, /*units=*/1) !=
       std::numeric_limits<std::size_t>::max();
-  const std::size_t byz =
-      cluster::byzantine_count(state.cluster_at(result.home),
-                               state.byzantine);
+  const std::size_t byz = state.byzantine_count(result.home);
   result.certified = ack && 2 * byz < state.cluster_at(result.home).size();
   shards_[result.home][key] = value;
   result.stored = true;
@@ -106,8 +105,7 @@ KeyValueService::GetResult KeyValueService::get(std::uint64_t key) {
       result.value = entry->second;
     }
   }
-  const std::size_t byz = cluster::byzantine_count(
-      state.cluster_at(result.home), state.byzantine);
+  const std::size_t byz = state.byzantine_count(result.home);
   result.authentic = 2 * byz < state.cluster_at(result.home).size();
   system_.metrics().add_rounds(2 * hops);
   result.cost = scope.cost();

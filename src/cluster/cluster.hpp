@@ -115,46 +115,14 @@ class Cluster {
   std::uint32_t slot_;
 };
 
-/// Number of `cluster`'s members that belong to `byzantine`.
+/// Number of `cluster`'s members that belong to `byzantine`, O(|C|) — the
+/// reference recount of the count NowState keeps per cluster.
 [[nodiscard]] inline std::size_t byzantine_count(const Cluster& cluster,
                                                  const NodeSet& byzantine) {
   std::size_t count = 0;
   for (const NodeId m : cluster.members())
     if (byzantine.contains(m)) ++count;
   return count;
-}
-
-/// byzantine_count for callers that already hold the Byzantine ids SORTED:
-/// streams the slab extent once with a binary search per member instead of
-/// a paged NodeSet lookup — the shape every invariant / adversary sweep
-/// wants, since it builds one sorted copy and scans all clusters.
-[[nodiscard]] inline std::size_t byzantine_count(
-    const Cluster& cluster, std::span<const NodeId> sorted_byzantine) {
-  assert(std::is_sorted(sorted_byzantine.begin(), sorted_byzantine.end()));
-  std::size_t count = 0;
-  for (const NodeId m : cluster.members()) {
-    if (std::binary_search(sorted_byzantine.begin(), sorted_byzantine.end(),
-                           m)) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-/// Fraction of Byzantine members (p_C in the paper's analysis, Section 4).
-[[nodiscard]] inline double byzantine_fraction(const Cluster& cluster,
-                                               const NodeSet& byzantine) {
-  if (cluster.size() == 0) return 0.0;
-  return static_cast<double>(byzantine_count(cluster, byzantine)) /
-         static_cast<double>(cluster.size());
-}
-
-/// byzantine_fraction over a sorted Byzantine id span (see byzantine_count).
-[[nodiscard]] inline double byzantine_fraction(
-    const Cluster& cluster, std::span<const NodeId> sorted_byzantine) {
-  if (cluster.size() == 0) return 0.0;
-  return static_cast<double>(byzantine_count(cluster, sorted_byzantine)) /
-         static_cast<double>(cluster.size());
 }
 
 }  // namespace now::cluster

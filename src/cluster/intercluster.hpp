@@ -8,8 +8,11 @@
 // therefore costs |C| * |D| * units unit messages and one round. The message
 // is accepted iff > |C|/2 members say the same thing — guaranteed while C has
 // an honest majority; conversely a Byzantine-majority cluster can forge.
+// The caller passes C's Byzantine-member count (NowState::byzantine_count),
+// so every sender — walks, exchanges, planners, apps — pays O(1) for it.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "common/metrics.hpp"
@@ -29,23 +32,29 @@ struct ClusterSendOutcome {
 };
 
 /// Cost of one logical cluster-to-cluster message.
-[[nodiscard]] Cost cluster_send_cost(std::size_t from_size,
-                                     std::size_t to_size, std::uint64_t units);
+[[nodiscard]] inline Cost cluster_send_cost(std::size_t from_size,
+                                            std::size_t to_size,
+                                            std::uint64_t units) {
+  return Cost{static_cast<std::uint64_t>(from_size) *
+                  static_cast<std::uint64_t>(to_size) * units,
+              1};
+}
 
-/// Cost-only send: charges the messages of one logical cluster-to-cluster
-/// message to `metrics` and returns its round count, without evaluating the
-/// majority rule. For planners that never consume the outcome — the sharded
-/// engine's exchange waves charge their partner notices through this — the
-/// charges are identical to cluster_send's (tests assert it), so swapping
-/// one for the other never moves a cost trajectory.
-std::uint64_t cluster_send_charge(std::size_t from_size, std::size_t to_size,
-                                  std::uint64_t units, Metrics& metrics);
-
-/// Performs one logical message from `from` to `to`: charges the messages to
-/// `metrics` and reports acceptance under the > 1/2 rule.
-ClusterSendOutcome cluster_send(const Cluster& from, const Cluster& to,
-                                std::uint64_t units,
-                                const NodeSet& byzantine,
-                                Metrics& metrics);
+/// Performs one logical message from `from` to `to`, which has
+/// `from_byzantine` Byzantine members: charges the messages to `metrics`
+/// and reports acceptance under the > 1/2 rule. Inline: the planners send
+/// once per planned swap and read only the cost.
+inline ClusterSendOutcome cluster_send(const Cluster& from, const Cluster& to,
+                                       std::uint64_t units,
+                                       std::size_t from_byzantine,
+                                       Metrics& metrics) {
+  const Cost cost = cluster_send_cost(from.size(), to.size(), units);
+  metrics.add_messages(cost.messages);
+  assert(from_byzantine <= from.size());
+  const std::size_t honest = from.size() - from_byzantine;
+  const std::size_t majority = from.size() / 2 + 1;
+  return ClusterSendOutcome{honest >= majority, from_byzantine >= majority,
+                            cost};
+}
 
 }  // namespace now::cluster

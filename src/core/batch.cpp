@@ -275,23 +275,21 @@ PlannedWalk plan_rand_cl(const NowState& state, const NowParams& params,
 /// sequential exchange_all, but the membership swaps are recorded into the
 /// cluster's wave cache instead of applied. `skips` excludes the batch's
 /// departing nodes homed in this cluster (a leaver must not be shuffled
-/// onward). Partner notices are charged through
-/// cluster::cluster_send_charge — planning never consumes the
-/// majority-rule outcome, so the per-call Byzantine count is skipped while
-/// the charged cost stays identical to cluster_send's.
+/// onward).
 void plan_wave(const NowState& state, const NowParams& params,
                PlannedWave& wave, ClusterWaveCache& out,
                std::span<const NodeId> skips, const PlanCache& cache,
                WaveWorkspace& ws, Metrics& metrics, Rng& rng) {
   OpScope scope(metrics, "exchange");
   const std::uint32_t c_slot = wave.slot;
-  const ClusterId c = state.cluster_id_at_slot(c_slot);
+  const cluster::Cluster& c_cluster = state.cluster_at_slot(c_slot);
+  const ClusterId c = c_cluster.id();
+  const std::size_t c_byzantine = state.byzantine_count(c);
   ++ws.epoch;
   std::uint64_t rounds_max = 0;
-  const cluster::MemberSlab& slab = state.member_slab();
   // The slab is read-only for the entire plan phase, so spans over it stay
   // valid: one extent-table read per cluster interaction.
-  const std::span<const NodeId> snapshot = slab.members(c_slot);
+  const std::span<const NodeId> snapshot = c_cluster.members();
   const std::uint64_t c_size = snapshot.size();
   const std::uint64_t c_neighborhood = cache.neighborhood_by_slot[c_slot];
   for (const NodeId x : snapshot) {
@@ -311,9 +309,12 @@ void plan_wave(const NowState& state, const NowParams& params,
         ws.partner_epoch[partner_slot] = ws.epoch;
         out.partners.push_back(partner_slot);
       }
-      const std::span<const NodeId> to_members = slab.members(partner_slot);
+      const cluster::Cluster& to = state.cluster_at_slot(partner_slot);
+      const std::span<const NodeId> to_members = to.members();
       const std::uint64_t to_size = to_members.size();
-      chain_rounds += cluster::cluster_send_charge(c_size, to_size, 1, metrics);
+      chain_rounds +=
+          cluster::cluster_send(c_cluster, to, 1, c_byzantine, metrics)
+              .cost.rounds;
       const auto draw = cluster::rand_num_value(
           to_size, to_size, params.rand_num_mode, metrics, rng);
       chain_rounds += draw.cost.rounds;
@@ -408,8 +409,8 @@ std::uint64_t plan_leave(const NowState& state, const PlanCache& cache,
   };
   for (const PlannedWave& wave : bs.waves) {
     for (const PendingSwap& swap : bs.wave_cache[wave.slot].swaps) {
-      const ClusterId from_id = state.cluster_id_at_slot(swap.from_slot);
-      const ClusterId to_id = state.cluster_id_at_slot(swap.to_slot);
+      const ClusterId from_id = state.cluster_at_slot(swap.from_slot).id();
+      const ClusterId to_id = state.cluster_at_slot(swap.to_slot).id();
       const ClusterId x_home = state.home_of(swap.x);
       const ClusterId y_home = state.home_of(swap.y);
       if (x_home == from_id && y_home == to_id) {
@@ -499,7 +500,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
   joined.reserve(joins);
   for (std::size_t i = 0; i < joins; ++i) {
     const NodeId node = state_.fresh_node_id();
-    if (i < byzantine_joins) state_.byzantine.insert(node);
+    if (i < byzantine_joins) state_.set_byzantine(node, true);
     state_.register_node(node);
     joined.push_back(node);
   }
@@ -684,7 +685,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     for (std::size_t i = 0; i < total_ops; ++i) {
       if (i + 1 < total_ops) state_.prefetch_home(bs.op_node[i + 1]);
       const std::uint32_t slot = bs.op_slot[i];
-      const ClusterId target = state_.cluster_id_at_slot(slot);
+      const ClusterId target = state_.cluster_at_slot(slot).id();
       // First-touch candidate dedup, epoch-stamped by slot: op targets are
       // live snapshot clusters, and a live cluster's slot is unique until
       // stage 2's restructuring, so slot identity == cluster identity here.
@@ -697,7 +698,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
         state_.commit_home(bs.op_node[i], target);
       } else {
         bs.record(slot, bs.op_node[i], /*add=*/false);
-        state_.byzantine.erase(bs.op_node[i]);
+        state_.set_byzantine(bs.op_node[i], false);
         state_.unregister_node(bs.op_node[i]);
         state_.clear_home(bs.op_node[i]);
       }
@@ -711,10 +712,10 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
 
     // Stage 1 (parallel): slots are partitioned into CONTIGUOUS blocks
     // (one per shard); each worker applies the member edits of the touched
-    // slots in its block. Cluster size changes are accumulated per shard,
-    // not written to the Fenwick mirror. Block (not mod-K) ownership keeps
-    // each worker's stores in disjoint cache-line ranges of the slot
-    // table.
+    // slots in its block and recounts their Byzantine members. Cluster size
+    // changes are accumulated per shard, not written to the Fenwick mirror.
+    // Block (not mod-K) ownership keeps each worker's stores in disjoint
+    // cache-line ranges of the slot table.
     const std::size_t slot_block = (slot_count + shards - 1) / shards;
     if (bs.edit_workspaces.size() < shards) {
       bs.edit_workspaces.resize(shards);

@@ -22,11 +22,13 @@ InvariantReport check_invariants(const NowState& state,
   report.num_nodes = state.num_nodes();
   report.num_clusters = state.num_clusters();
 
-  // --- I5: bookkeeping consistency.
+  // --- I5: bookkeeping consistency, the Byzantine counts I1 reads included
+  // (the member walk recounts them as an independent witness).
   std::size_t members_total = 0;
   for (const ClusterId id : state.cluster_ids()) {
     const auto& c = state.cluster_at(id);
     members_total += c.size();
+    std::size_t byzantine_members = 0;
     for (const NodeId m : c.members()) {
       if (state.home_of(m) != id) {
         std::ostringstream os;
@@ -34,6 +36,13 @@ InvariantReport check_invariants(const NowState& state,
            << " but node_home disagrees";
         violate(report, os.str());
       }
+      if (state.byzantine.contains(m)) ++byzantine_members;
+    }
+    if (byzantine_members != state.byzantine_count(id)) {
+      std::ostringstream os;
+      os << "cluster " << id << " counts " << state.byzantine_count(id)
+         << " Byzantine members but holds " << byzantine_members;
+      violate(report, os.str());
     }
     if (!state.overlay.has(id)) {
       std::ostringstream os;
@@ -61,14 +70,8 @@ InvariantReport check_invariants(const NowState& state,
   }
 
   // --- I1: honest supermajorities (threshold 1/3, or 1/2 in the
-  // authenticated regime of Remark 1). One sorted copy of the Byzantine
-  // ids up front (NodeSet dense order is not id order) lets every
-  // cluster's count stream its slab extent against a binary search
-  // instead of a paged NodeSet lookup per member.
+  // authenticated regime of Remark 1), from the per-cluster counts.
   const double compromise_line = params.compromise_threshold();
-  std::vector<NodeId> sorted_byz(state.byzantine.begin(),
-                                 state.byzantine.end());
-  std::sort(sorted_byz.begin(), sorted_byz.end());
   bool first = true;
   for (const ClusterId id : state.cluster_ids()) {
     const auto& c = state.cluster_at(id);
@@ -80,7 +83,7 @@ InvariantReport check_invariants(const NowState& state,
       report.min_cluster_size = std::min(report.min_cluster_size, size);
       report.max_cluster_size = std::max(report.max_cluster_size, size);
     }
-    const double p = cluster::byzantine_fraction(c, sorted_byz);
+    const double p = state.byzantine_fraction(id);
     report.worst_byz_fraction = std::max(report.worst_byz_fraction, p);
     if (size > 0 && p >= compromise_line - 1e-12) {
       ++report.compromised_clusters;

@@ -50,7 +50,7 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
   ids.reserve(n0);
   for (std::size_t i = 0; i < n0; ++i) ids.push_back(state_.fresh_node_id());
   for (const std::size_t index : rng_.sample_distinct(n0, byzantine_count)) {
-    state_.byzantine.insert(ids[index]);
+    state_.set_byzantine(ids[index], true);
   }
 
   // --- Phase 1: network discovery (all honest nodes learn all identities),
@@ -221,8 +221,8 @@ Cost NowSystem::exchange_all(ClusterId c,
       const auto& from = state_.cluster_at(c);
       const auto& to = state_.cluster_at(partner);
       // Tell C' it will receive x.
-      const auto notice =
-          cluster::cluster_send(from, to, 1, state_.byzantine, metrics_);
+      const auto notice = cluster::cluster_send(
+          from, to, 1, state_.byzantine_count(c), metrics_);
       chain_rounds += notice.cost.rounds;
       // C' picks the replacement uniformly via randNum.
       const auto draw = cluster::rand_num_value(
@@ -304,7 +304,7 @@ std::pair<NodeId, OpReport> NowSystem::join(bool byzantine_node) {
 
   const NodeId node = state_.fresh_node_id();
   if (trace_sink_ != nullptr) trace_sink_->on_join(node, byzantine_node);
-  if (byzantine_node) state_.byzantine.insert(node);
+  if (byzantine_node) state_.set_byzantine(node, true);
   state_.register_node(node);
   const std::uint64_t rounds = place_node(node, report);
   metrics_.add_rounds(rounds);
@@ -323,7 +323,7 @@ OpReport NowSystem::leave(NodeId node) {
   const ClusterId c = state_.home_of(node);
   assert(c.valid() && "leave() of a node that is not placed");
   state_.remove_member(c, node);
-  state_.byzantine.erase(node);
+  state_.set_byzantine(node, false);
   state_.unregister_node(node);
 
   // Members of C tell their neighbors to drop x (majority-accepted delta).

@@ -38,7 +38,7 @@ void PlanCache::apply_size_deltas(
     // is untouched between structure-preserving batches, so adjacency is
     // exactly what both the live state and the cached tables agree on.
     for (const graph::Vertex v : state.overlay.graph().neighbors(
-             state.cluster_id_at_slot(slot).value())) {
+             state.cluster_at_slot(slot).id().value())) {
       std::uint64_t& neighborhood =
           neighborhood_by_slot[state.slot_index(ClusterId{v})];
       neighborhood = static_cast<std::uint64_t>(

@@ -64,7 +64,7 @@ RandClResult simulate_walk(const NowState& state, const NowParams& params,
           state.overlay.neighbors(current)[rng.uniform(deg)];
       const auto transfer = cluster::cluster_send(
           state.cluster_at(current), state.cluster_at(next), 1,
-          state.byzantine, metrics);
+          state.byzantine_count(current), metrics);
       result.cost.rounds += hop_rand.rounds + transfer.cost.rounds;
       current = next;
       ++result.hops;

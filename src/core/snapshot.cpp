@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <span>
@@ -184,7 +185,7 @@ void snapshot_save_state(const NowState& state, SnapshotWriter& w) {
   w.u64(state.live_.size());
   for (const NodeId node : state.live_.items()) w.u64(node.value());
   w.u64(state.byzantine.size());
-  for (const NodeId node : state.byzantine.items()) w.u64(node.value());
+  for (const NodeId node : state.byzantine) w.u64(node.value());
 
   const graph::Graph& g = state.overlay.graph();
   w.u64(g.vertex_order().size());
@@ -204,13 +205,14 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
   state.slots_.clear();
   state.slots_.resize(slot_count);
   state.live_pos_.assign(slot_count, 0);
+  state.byz_count_.assign(slot_count, 0);
   state.free_slots_.clear();
   state.live_ids_.clear();
   state.cluster_slot_.clear();
   state.node_home_.clear();
   state.placed_count_ = 0;
   state.live_.clear();
-  state.byzantine.clear();
+  state.clear_byzantine();
   state.sizes_ = FenwickTree{};
   state.sizes_.resize(slot_count);
 
@@ -297,9 +299,11 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
   for (std::uint64_t i = 0; i < live_node_count; ++i) {
     state.live_.insert(NodeId{r.u64()});
   }
+  // Marking after the members are placed rebuilds every cluster's
+  // Byzantine count from its members.
   const std::uint64_t byz_count = r.count(8);
   for (std::uint64_t i = 0; i < byz_count; ++i) {
-    state.byzantine.insert(NodeId{r.u64()});
+    state.set_byzantine(NodeId{r.u64()}, true);
   }
 
   graph::Graph& g = state.overlay.graph_for_restore();
@@ -358,6 +362,20 @@ NowParams read_params(SnapshotReader& r) {
   p.over_degree_constant = r.f64();
   p.over_cap_factor = r.f64();
   p.walk_factor = r.f64();
+  // Reject what no recorder writes: it would replay as a divergence.
+  const auto require = [](double value, bool in_range, const char* field) {
+    if (!std::isfinite(value) || !in_range) {
+      throw SnapshotError(std::string("params ") + field + " out of range");
+    }
+  };
+  if (p.max_size < 2) throw SnapshotError("params max_size below 2");
+  require(p.tau, p.tau >= 0.0 && p.tau < 1.0, "tau");
+  require(p.l, p.l > 1.0, "l");
+  require(p.alpha, p.alpha >= 0.0, "alpha");
+  require(p.over_degree_constant, p.over_degree_constant > 0.0,
+          "over_degree_constant");
+  require(p.over_cap_factor, p.over_cap_factor > 0.0, "over_cap_factor");
+  require(p.walk_factor, p.walk_factor > 0.0, "walk_factor");
   p.walk_mode = read_enum(r, WalkMode::kSampleExact, "walk_mode");
   p.merge_policy = read_enum(r, MergePolicy::kAbsorb, "merge_policy");
   p.rand_num_mode =

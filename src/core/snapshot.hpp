@@ -207,7 +207,9 @@ class SnapshotReader {
 void save_params(const NowParams& params, SnapshotWriter& writer);
 
 /// Reads params written by save_params. Throws SnapshotError for params
-/// no NowSystem accepts: k < 1 or an enum value outside its enum.
+/// no NowSystem accepts: a non-finite double, max_size < 2, tau outside
+/// [0, 1), k < 1, l <= 1, alpha < 0, a walk or overlay factor <= 0, or an
+/// enum value outside its enum.
 [[nodiscard]] NowParams read_params(SnapshotReader& reader);
 
 /// Reads a u32-encoded enum, throwing SnapshotError unless it is one of

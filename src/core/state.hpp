@@ -5,8 +5,10 @@
 // Protocol code never *reads* the byzantine set to make decisions — honest
 // logic is oblivious to it. It is consulted only (a) by primitives whose
 // outcome genuinely depends on adversarial membership (e.g. the inter-
-// cluster majority rule) and (b) by invariant checks and experiment metrics,
-// mirroring the role of the adversary's full knowledge in the paper's model.
+// cluster majority rule) and (b) by invariant checks, metrics and the
+// adversaries — the adversary's full knowledge in the paper's model. They
+// read p_C from ONE Byzantine count per cluster, kept exact by every
+// membership mutator and set_byzantine (the only way to mark a node).
 //
 // Storage layout (the flat-state refactor + the membership slab): every
 // container on the join/leave/exchange hot path is O(1) or O(log k)
@@ -26,19 +28,19 @@
 //     sequential NodeId values;
 //   * byzantine — a flat NodeSet (dense vector + paged positions).
 // All membership mutations MUST flow through add_member / remove_member /
-// move_node so the Fenwick mirror stays consistent; Cluster objects are
-// only handed out const. Two sanctioned exceptions:
+// move_node so the Fenwick mirror and Byzantine counts stay consistent;
+// Cluster objects are only handed out const. Two sanctioned exceptions:
 //   * corrupt_home_for_test, for invariant tests that need to break the
 //     bookkeeping on purpose;
 //   * the parallel-commit primitives (apply_member_edits / commit_home /
 //     commit_spilled_members / apply_size_deltas / adjust_placed_count),
 //     the stage-1/stage-2 split of the sharded batch commit (DESIGN.md §7):
-//     member-extent edits and node_home writes happen shard-parallel
-//     against disjoint slots, slots whose merged membership outgrew their
-//     extent are spilled to a sequential stage-2 commit, and the Fenwick
-//     mirror and the placed-node count are reconciled afterwards in one
-//     sequential merge. Their contracts spell out exactly which shared
-//     structure each one may touch.
+//     member-extent edits, their Byzantine counts and node_home writes
+//     happen shard-parallel against disjoint slots, over-full slots are
+//     spilled to a sequential stage-2 commit, and the Fenwick mirror and
+//     the placed-node count are reconciled afterwards in one sequential
+//     merge. Their contracts spell out exactly which shared structure each
+//     one may touch.
 #pragma once
 
 #include <cassert>
@@ -64,6 +66,25 @@ namespace now::core {
 class SnapshotReader;
 class SnapshotWriter;
 
+/// The Byzantine ground truth as NowState hands it out: NodeSet's reads only,
+/// so no mark can bypass the per-cluster counts (NowState::set_byzantine).
+class ByzantineSet {
+ public:
+  ByzantineSet& operator=(const ByzantineSet&) = delete;
+  bool contains(NodeId id) const { return set_.contains(id); }
+  NodeId at_index(std::size_t i) const { return set_.at_index(i); }
+  std::size_t size() const { return set_.size(); }
+  auto begin() const { return set_.begin(); }
+  auto end() const { return set_.end(); }
+  /// For readers that take a NodeSet (cluster::byzantine_count, discovery).
+  operator const NodeSet&() const { return set_; }  // NOLINT
+
+ private:
+  friend class NowState;
+  ByzantineSet() = default;
+  NodeSet set_;
+};
+
 class NowState {
  public:
   explicit NowState(const over::OverParams& over_params)
@@ -76,7 +97,7 @@ class NowState {
   over::Overlay overlay;
 
   /// Ground truth of adversarial control (see the header comment).
-  NodeSet byzantine;
+  ByzantineSet byzantine;
 
   // ------------------------------------------------------------- identities
 
@@ -98,6 +119,7 @@ class NowState {
       slab_->acquire_slot(slot);
       slots_.emplace_back(std::in_place, id, *slab_, slot);
       live_pos_.push_back(0);
+      byz_count_.push_back(0);
       if (sizes_.size() < slots_.size()) {
         sizes_.resize(std::max<std::size_t>(16, 2 * slots_.size()));
       }
@@ -114,6 +136,7 @@ class NowState {
   void destroy_cluster(ClusterId id) {
     const std::uint32_t slot = slot_of(id);
     assert(slots_[slot]->size() == 0 && "destroying a populated cluster");
+    assert(byz_count_[slot] == 0);
     const std::uint32_t at = live_pos_[slot];
     const ClusterId moved = live_ids_.back();
     live_ids_[at] = moved;
@@ -150,10 +173,39 @@ class NowState {
     return slot_of(id);
   }
 
-  /// Id of the live cluster in `slot` — the inverse of slot_index.
-  [[nodiscard]] ClusterId cluster_id_at_slot(std::size_t slot) const {
+  /// The live cluster in `slot` — the inverse of slot_index.
+  [[nodiscard]] const cluster::Cluster& cluster_at_slot(
+      std::size_t slot) const {
     assert(slot < slots_.size() && slots_[slot].has_value());
-    return slots_[slot]->id();
+    return *slots_[slot];
+  }
+
+  /// Byzantine members of cluster `id` (Lemma 1 / Theorem 3 bound it). O(1).
+  [[nodiscard]] std::size_t byzantine_count(ClusterId id) const {
+    return byz_count_[slot_of(id)];
+  }
+
+  /// p_C = byzantine_count / |C| (Section 4), 0 for an empty cluster. O(1).
+  [[nodiscard]] double byzantine_fraction(ClusterId id) const {
+    const std::size_t size = cluster_at(id).size();
+    return size == 0 ? 0.0
+                     : static_cast<double>(byzantine_count(id)) /
+                           static_cast<double>(size);
+  }
+
+  /// The first cluster of cluster_ids() with the highest byzantine_fraction
+  /// (ClusterId::invalid() when there is none): the adversaries' target.
+  [[nodiscard]] ClusterId most_byzantine_cluster() const {
+    ClusterId best = ClusterId::invalid();
+    double best_fraction = -1.0;
+    for (const ClusterId id : live_ids_) {
+      const double fraction = byzantine_fraction(id);
+      if (fraction > best_fraction) {
+        best_fraction = fraction;
+        best = id;
+      }
+    }
+    return best;
   }
 
   /// The shared membership arena (read-only).
@@ -169,6 +221,7 @@ class NowState {
     slots_[slot]->add_member(node);
     node_home_.set(node.value(), c);
     sizes_.add(slot, 1);
+    if (byzantine.contains(node)) ++byz_count_[slot];
     ++placed_count_;
   }
 
@@ -178,6 +231,7 @@ class NowState {
     slots_[slot]->remove_member(node);
     node_home_.unset(node.value());
     sizes_.subtract(slot, 1);
+    if (byzantine.contains(node)) --byz_count_[slot];
     assert(placed_count_ > 0);
     --placed_count_;
   }
@@ -192,6 +246,23 @@ class NowState {
     node_home_.set(node.value(), to);
     sizes_.subtract(from_slot, 1);
     sizes_.add(to_slot, 1);
+    if (byzantine.contains(node)) {
+      --byz_count_[from_slot];
+      ++byz_count_[to_slot];
+    }
+  }
+
+  /// Marks or unmarks `node` as Byzantine (NodeSet insert / erase order)
+  /// and moves its home cluster's count with it, if it is placed. Returns
+  /// false, changing nothing, when the node already had that mark.
+  bool set_byzantine(NodeId node, bool mark) {
+    NodeSet& set = byzantine.set_;
+    if (!(mark ? set.insert(node) : set.erase(node))) return false;
+    if (const ClusterId home = home_of(node); home.valid()) {
+      std::uint32_t& count = byz_count_[slot_of(home)];
+      count = mark ? count + 1 : count - 1;
+    }
+    return true;
   }
 
   /// Home cluster of `node`, or ClusterId::invalid() when the node is not
@@ -258,13 +329,16 @@ class NowState {
   /// on the net effect, not the edit order: the edits are netted (a node
   /// added and removed within the batch cancels) and merged directly inside
   /// the slot's extent via MemberSlab::try_apply_edits — one
-  /// O(|members| + |edits|) in-place pass touching ONLY that slot's extent,
-  /// so the call is safe to run concurrently for distinct slots with
-  /// per-worker scratch. When the merge outgrew the extent, the merged run
-  /// is built in scratch and the slot parked on scratch.spills for the
-  /// sequential stage-2 commit instead (the returned delta already accounts
-  /// for it). The Fenwick mirror and placed_count are intentionally left
-  /// stale (see above).
+  /// O(|members| + |edits|) in-place pass touching ONLY that slot's extent
+  /// and its Byzantine count, recounted over the merged members (nothing
+  /// writes a mark in stage 1; a wave edits every member anyway, so the
+  /// recount reads fewer marks than the edits would), so the call is safe
+  /// to run concurrently for distinct slots with per-worker scratch. When
+  /// the merge outgrew the extent, the merged run is built in scratch and
+  /// the slot parked on scratch.spills for the sequential stage-2 commit
+  /// instead (the returned delta and the count already account for it).
+  /// The Fenwick mirror and placed_count are intentionally left stale (see
+  /// above).
   std::int64_t apply_member_edits(std::size_t slot,
                                   std::span<const MemberEdit> edits,
                                   EditScratch& scratch) {
@@ -301,11 +375,18 @@ class NowState {
     }
     scratch.adds.resize(a_out);
     scratch.removes.resize(r_out);
-    if (!slab_->try_apply_edits(slot, scratch.removes, scratch.adds)) {
+    std::span<const NodeId> merged;
+    if (slab_->try_apply_edits(slot, scratch.removes, scratch.adds)) {
+      merged = slab_->members(slot);
+    } else {
       cluster::merge_sorted_edits(slots_[slot]->members(), scratch.removes,
                                   scratch.adds, scratch.merge);
       scratch.spills.emplace_back(slot, scratch.merge);
+      merged = scratch.merge;
     }
+    std::uint32_t count = 0;
+    for (const NodeId node : merged) count += byzantine.contains(node);
+    byz_count_[slot] = count;
     return delta;
   }
 
@@ -446,7 +527,8 @@ class NowState {
            live_ids_.capacity() * sizeof(ClusterId) +
            cluster_slot_.footprint_bytes() + sizes_.footprint_bytes() +
            slab_->footprint_bytes() + node_home_.footprint_bytes() +
-           live_.footprint_bytes() + byzantine.footprint_bytes();
+           live_.footprint_bytes() + byzantine.set_.footprint_bytes() +
+           byz_count_.capacity() * sizeof(std::uint32_t);
   }
 
  private:
@@ -457,10 +539,12 @@ class NowState {
   /// the free list and every dense order (live_ids_, live_, byzantine) are
   /// observable through sampling or slab positions, so they are written and
   /// reconstructed verbatim; the derived containers (cluster_slot_,
-  /// node_home_, sizes_, live_pos_, placed_count_) are rebuilt from them.
+  /// node_home_, sizes_, live_pos_, placed_count_, byz_count_) are rebuilt
+  /// from them.
   friend void snapshot_save_state(const NowState& state,
                                   SnapshotWriter& writer);
   friend void snapshot_load_state(NowState& state, SnapshotReader& reader);
+  void clear_byzantine() { byzantine.set_.clear(); }  // for snapshot load
 
   [[nodiscard]] std::uint32_t slot_of(ClusterId id) const {
     const std::uint32_t slot = cluster_slot_.get(id.value());
@@ -474,11 +558,13 @@ class NowState {
   ClusterId::value_type next_cluster_id_ = 0;
 
   // Slot table for clusters; sizes_ mirrors each slot's |C| for the biased
-  // draw. slots_ and live_pos_ are parallel (sizes_ over-allocates). The
+  // draw and byz_count_ holds its Byzantine-member count. slots_,
+  // live_pos_ and byz_count_ are parallel (sizes_ over-allocates). The
   // slab holds every slot's member extent; it sits behind a unique_ptr so
   // the Cluster views' raw slab pointers survive NowState moves.
   std::vector<std::optional<cluster::Cluster>> slots_;
   std::vector<std::uint32_t> live_pos_;
+  std::vector<std::uint32_t> byz_count_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<ClusterId> live_ids_;
   PagedIndex<std::uint32_t> cluster_slot_;

@@ -24,24 +24,13 @@ std::size_t pick_forced_leave_victims(const core::NowSystem& system,
                                       std::vector<NodeId>& victims) {
   const auto& state = system.state();
   if (quota == 0 || system.num_clusters() < 2) return 0;
-  ClusterId worst = ClusterId::invalid();
+  const ClusterId worst = state.most_byzantine_cluster();
   ClusterId smallest = ClusterId::invalid();
-  double worst_fraction = -1.0;
   std::size_t smallest_size = static_cast<std::size_t>(-1);
-  // One sorted Byzantine copy for the whole sweep (streams slab extents —
-  // see cluster.hpp's sorted-span byzantine_fraction overload).
-  std::vector<NodeId> sorted_byz(state.byzantine.begin(),
-                                 state.byzantine.end());
-  std::sort(sorted_byz.begin(), sorted_byz.end());
   for (const ClusterId c : state.cluster_ids()) {
-    const auto& cl = state.cluster_at(c);
-    const double p = cluster::byzantine_fraction(cl, sorted_byz);
-    if (p > worst_fraction) {
-      worst_fraction = p;
-      worst = c;
-    }
-    if (cl.size() < smallest_size) {
-      smallest_size = cl.size();
+    const std::size_t size = state.cluster_at(c).size();
+    if (size < smallest_size) {
+      smallest_size = size;
       smallest = c;
     }
   }
@@ -99,25 +88,12 @@ BatchOutcome run_adversarial_batch(const ScenarioConfig& config,
   const std::size_t forced = outcome.forced;
   if (config.batch_placement == BatchPlacement::kTargeted &&
       state.byzantine_total() > 0 && system.num_clusters() > 1) {
-    // Full knowledge: target the cluster that is already worst. Sorted
-    // Byzantine copy once, extent-streaming counts per cluster.
-    ClusterId target = ClusterId::invalid();
-    double worst = -1.0;
-    std::vector<NodeId> sorted_byz(state.byzantine.begin(),
-                                   state.byzantine.end());
-    std::sort(sorted_byz.begin(), sorted_byz.end());
-    for (const ClusterId c : state.cluster_ids()) {
-      const double p =
-          cluster::byzantine_fraction(state.cluster_at(c), sorted_byz);
-      if (p > worst) {
-        worst = p;
-        target = c;
-      }
-    }
+    // Full knowledge: target the cluster that is already worst.
+    const ClusterId target = state.most_byzantine_cluster();
     // Churn the adversary's misplaced nodes first (deterministic NodeSet
     // order), keep the ones that already landed in the target; skip any
     // the forced-leave quota already claimed.
-    for (const NodeId b : state.byzantine.items()) {
+    for (const NodeId b : state.byzantine) {
       if (victims.size() >= ops) break;
       if (state.home_of(b) == target) continue;
       if (std::find(victims.begin(), victims.end(), b) != victims.end()) {

@@ -59,7 +59,7 @@ TEST(BroadcastTest, CompromisedRelayClusterIsContained) {
     }
   }
   for (const NodeId m : state.cluster_at(victim).members()) {
-    state.byzantine.insert(m);
+    state.set_byzantine(m, true);
   }
   const auto report = broadcast(system, source_node, 9);
   // All *other* clusters still receive the value.

@@ -34,15 +34,16 @@ TEST(NodeSetTest, IterationVisitsEveryMemberOnce) {
   EXPECT_EQ(seen, expected);
 }
 
-TEST(NodeSetTest, EraseByIteratorSupportsScanLoops) {
+TEST(NodeSetTest, EraseMovesTheLastMemberIntoTheGap) {
   NodeSet set;
   for (std::uint64_t i = 0; i < 10; ++i) set.insert(NodeId{i});
-  // Erase all even ids with the erase-while-scanning idiom.
-  for (auto it = set.begin(); it != set.end();) {
-    if (it->value() % 2 == 0) {
-      it = set.erase(it);
+  // Erase all even ids while scanning by index: an erase swaps the last
+  // member into position i, which is visited next.
+  for (std::size_t i = 0; i < set.size();) {
+    if (set.at_index(i).value() % 2 == 0) {
+      set.erase(set.at_index(i));
     } else {
-      ++it;
+      ++i;
     }
   }
   EXPECT_EQ(set.size(), 5u);

@@ -33,7 +33,7 @@ TEST(InvariantsTest, DetectsCompromisedCluster) {
   const auto& first = state.cluster_at(state.cluster_ids().front());
   const std::size_t third = first.size() / 3 + 1;
   for (std::size_t i = 0; i < third; ++i) {
-    state.byzantine.insert(first.member_at(i));
+    state.set_byzantine(first.member_at(i), true);
   }
   const auto report = check_invariants(state, system.params());
   EXPECT_FALSE(report.ok);

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "core/now.hpp"
 
 namespace now::core {
@@ -458,6 +461,131 @@ TEST(ShardTest, LargeKIncrementalBatchesStayShardCountIndependent) {
   }
   EXPECT_EQ(partition_signature(*systems[0]),
             partition_signature(*systems[1]));
+}
+
+/// Live clusters whose kept Byzantine count differs from the O(|C|)
+/// recount over their members.
+std::size_t count_drifts(const NowState& state) {
+  std::size_t drifts = 0;
+  for (const ClusterId id : state.cluster_ids()) {
+    if (state.byzantine_count(id) !=
+        cluster::byzantine_count(state.cluster_at(id), state.byzantine)) {
+      ++drifts;
+    }
+  }
+  return drifts;
+}
+
+/// The batched join-leave + forced-leave attack of the scenario layer
+/// (kTargeted placement with a leave quota): up to `quota` honest members
+/// of the most Byzantine cluster are forced out, the Byzantine nodes
+/// outside that cluster leave to re-roll their placement, and uniform
+/// victims fill the batch up to `leaves`.
+std::vector<NodeId> attack_victims(const NowState& state, std::size_t leaves,
+                                   std::size_t quota, Rng& rng) {
+  std::vector<NodeId> victims;
+  const auto add = [&](NodeId node) {
+    if (victims.size() < leaves &&
+        std::find(victims.begin(), victims.end(), node) == victims.end()) {
+      victims.push_back(node);
+    }
+  };
+  const ClusterId worst = state.most_byzantine_cluster();
+  for (const NodeId m : state.cluster_at(worst).members()) {
+    if (victims.size() >= quota) break;
+    if (!state.byzantine.contains(m)) add(m);
+  }
+  for (const NodeId b : state.byzantine) {
+    if (state.home_of(b) != worst) add(b);
+  }
+  while (victims.size() < leaves) add(state.random_node(rng));
+  return victims;
+}
+
+TEST(ShardTest, ByzantineCountsMatchRecountAfterEveryBatch) {
+  // NowState keeps one Byzantine count per cluster slot: stage 1 writes it
+  // from the netted edits, the sequential mutators and set_byzantine move
+  // it, and snapshot load rebuilds it. After every step of an attack that
+  // splits, merges and spills, each count must equal the recount.
+  for (const WalkMode mode : {WalkMode::kSampleExact, WalkMode::kSimulate}) {
+    std::map<std::uint64_t, std::size_t> final_counts[2];
+    constexpr std::size_t kShardAxis[] = {1, 4};
+    for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
+      const std::size_t shards = kShardAxis[v];
+      const std::string where = std::string("mode ") +
+                                (mode == WalkMode::kSimulate ? "simulate"
+                                                             : "sample") +
+                                " shards " + std::to_string(shards);
+      NowParams p;
+      p.max_size = 1 << 12;
+      p.walk_mode = mode;
+      Metrics metrics;
+      NowSystem system{p, metrics, 211};
+      system.initialize(600, 60, InitTopology::kModeledSparse);
+      ASSERT_EQ(count_drifts(system.state()), 0u) << where;
+      Rng rng{212};
+      std::size_t splits = 0;
+      std::size_t merges = 0;
+      std::size_t spills = 0;
+      for (int step = 0; step < 24; ++step) {
+        // Grow for eight steps, then shrink: splits, then merges.
+        const bool grow = step % 16 < 8;
+        const std::size_t joins = grow ? 48 : 8;
+        const std::size_t leaves = grow ? 8 : 48;
+        const auto victims =
+            attack_victims(system.state(), leaves, /*quota=*/6, rng);
+        const auto [joined, report] = system.step_parallel_mixed(
+            joins, /*byzantine_joins=*/joins / 3, victims, shards);
+        splits += report.splits;
+        merges += report.merges;
+        spills += report.stage2_spills;
+        ASSERT_EQ(count_drifts(system.state()), 0u)
+            << where << " batch " << step;
+      }
+      EXPECT_GT(splits, 0u) << where;
+      EXPECT_GT(merges, 0u) << where;
+      EXPECT_GT(spills, 0u) << where;
+
+      // Per-op joins and leaves, Byzantine and honest.
+      for (const bool byzantine : {true, false, true}) {
+        (void)system.join(byzantine);
+        ASSERT_EQ(count_drifts(system.state()), 0u) << where << " join";
+      }
+      const NodeId byzantine_leaver = system.state().byzantine.at_index(0);
+      (void)system.leave(byzantine_leaver);
+      ASSERT_EQ(count_drifts(system.state()), 0u) << where << " leave";
+      (void)system.leave(system.state().random_honest_node(rng));
+      ASSERT_EQ(count_drifts(system.state()), 0u) << where << " leave";
+
+      // Snapshot round trip: load rebuilds the counts from the members.
+      const std::string path =
+          testing::TempDir() + "now_byzantine_counts_" +
+          std::to_string(static_cast<int>(mode)) + "_" +
+          std::to_string(shards) + ".snap";
+      system.save(path);
+      Metrics loaded_metrics;
+      NowSystem loaded{p, loaded_metrics, 211};
+      loaded.load(path);
+      std::remove(path.c_str());
+      ASSERT_EQ(count_drifts(loaded.state()), 0u) << where << " load";
+      for (const ClusterId id : system.state().cluster_ids()) {
+        EXPECT_EQ(loaded.state().byzantine_count(id),
+                  system.state().byzantine_count(id))
+            << where;
+      }
+      for (int step = 0; step < 2; ++step) {
+        const auto victims =
+            attack_victims(loaded.state(), 8, /*quota=*/6, rng);
+        (void)loaded.step_parallel_mixed(8, 4, victims, shards);
+        ASSERT_EQ(count_drifts(loaded.state()), 0u)
+            << where << " batch after load " << step;
+      }
+      for (const ClusterId id : loaded.state().cluster_ids()) {
+        final_counts[v][id.value()] = loaded.state().byzantine_count(id);
+      }
+    }
+    EXPECT_EQ(final_counts[0], final_counts[1]);
+  }
 }
 
 }  // namespace

@@ -287,6 +287,35 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotTest, ParamsThatRunsRecordStillLoad) {
+  // read_params rejects what no NowSystem accepts; every value a test,
+  // bench or corpus trace records must still round-trip.
+  const auto round_trip = [](const NowParams& p) {
+    SnapshotWriter w;
+    save_params(p, w);
+    SnapshotReader r{w.buffer()};
+    return read_params(r);
+  };
+  for (const double l : {1.2, 1.5, 2.0, 1e9}) {
+    NowParams p;
+    p.l = l;
+    EXPECT_EQ(round_trip(p).l, l);
+  }
+  for (const double tau : {0.0, 0.05, 0.35}) {
+    NowParams p;
+    p.tau = tau;
+    EXPECT_EQ(round_trip(p).tau, tau);
+  }
+  NowParams p;
+  p.max_size = 2;
+  p.alpha = 0.0;
+  p.walk_factor = 0.25;
+  const NowParams got = round_trip(p);
+  EXPECT_EQ(got.max_size, 2u);
+  EXPECT_EQ(got.alpha, 0.0);
+  EXPECT_EQ(got.walk_factor, 0.25);
+}
+
 TEST(SnapshotTest, PreviousFormatVersionFailsAtTheVersionCheck) {
   // A v2 file is intact and checksummed but still carries the PlanCache
   // blob v3 dropped: it must fail as an unsupported version, never reach

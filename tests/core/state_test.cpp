@@ -205,5 +205,77 @@ TEST(StateTest, ManyClustersGrowTheFenwickMirror) {
   for (const ClusterId id : ids) EXPECT_GT(seen[id], 0) << id;
 }
 
+/// p_C by recount: Byzantine members over size, 0 for an empty cluster.
+double recount_fraction(const NowState& state, ClusterId id) {
+  const auto& c = state.cluster_at(id);
+  if (c.size() == 0) return 0.0;
+  return static_cast<double>(cluster::byzantine_count(c, state.byzantine)) /
+         static_cast<double>(c.size());
+}
+
+/// The rule most_byzantine_cluster keeps, by recount: the first maximum of
+/// count / size (0 for an empty cluster) in cluster_ids() order.
+ClusterId most_byzantine_by_recount(const NowState& state) {
+  ClusterId best = ClusterId::invalid();
+  double best_fraction = -1.0;
+  for (const ClusterId id : state.cluster_ids()) {
+    const double fraction = recount_fraction(state, id);
+    if (fraction > best_fraction) {
+      best_fraction = fraction;
+      best = id;
+    }
+  }
+  return best;
+}
+
+TEST(StateTest, MostByzantineClusterIsTheFirstMaximumWithTies) {
+  NowState state{small_over()};
+  EXPECT_EQ(state.most_byzantine_cluster(), ClusterId::invalid());
+  // Sizes 3, 6, 9 and 4 (three of them can tie at 1/3) plus an empty
+  // cluster; the slot of a destroyed cluster is reused so cluster_ids()
+  // is not in id order.
+  std::vector<ClusterId> ids;
+  const std::size_t sizes[] = {5, 3, 6, 9, 4, 0};
+  for (const std::size_t size : sizes) {
+    const ClusterId c = state.create_cluster();
+    ids.push_back(c);
+    for (std::size_t i = 0; i < size; ++i) {
+      const NodeId node = state.fresh_node_id();
+      state.register_node(node);
+      state.add_member(c, node);
+    }
+  }
+  const auto doomed_view = state.cluster_at(ids[0]).members();
+  const std::vector<NodeId> doomed(doomed_view.begin(), doomed_view.end());
+  for (const NodeId m : doomed) state.move_node(m, ids[0], ids[4]);
+  state.destroy_cluster(ids[0]);
+  (void)state.create_cluster();
+  EXPECT_EQ(state.most_byzantine_cluster(), state.cluster_ids().front());
+
+  Rng rng{31};
+  int tied_trials = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Flip one random node; small clusters make exact ties frequent.
+    const NodeId node = state.random_node(rng);
+    state.set_byzantine(node, !state.byzantine.contains(node));
+    for (const ClusterId id : state.cluster_ids()) {
+      ASSERT_EQ(state.byzantine_count(id),
+                cluster::byzantine_count(state.cluster_at(id),
+                                         state.byzantine));
+      ASSERT_EQ(state.byzantine_fraction(id), recount_fraction(state, id));
+    }
+    ASSERT_EQ(state.most_byzantine_cluster(), most_byzantine_by_recount(state))
+        << "trial " << trial;
+    const double top =
+        recount_fraction(state, state.most_byzantine_cluster());
+    int at_top = 0;
+    for (const ClusterId id : state.cluster_ids()) {
+      if (recount_fraction(state, id) == top) ++at_top;
+    }
+    if (at_top > 1) ++tied_trials;
+  }
+  EXPECT_GT(tied_trials, 0);  // the first-maximum rule was exercised
+}
+
 }  // namespace
 }  // namespace now::core

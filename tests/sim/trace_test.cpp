@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -227,8 +229,8 @@ TEST(TraceTest, MalformedHeadersAreRejectedNotReplayed) {
   // A re-stamped trace (intact checksum) whose header no recorder writes
   // must throw SnapshotError from every reader before anything runs.
   // Otherwise k < 1 divides by zero in initialize(), an out-of-range enum
-  // replays as some other mode, and an impossible n0/byz0 shows up as a
-  // step-0 divergence.
+  // replays as some other mode, and an impossible size bound, tau, l,
+  // alpha, walk or overlay factor, n0 or byz0 shows up as a divergence.
   const std::string path = temp_path("now_malformed_header.trace");
   ScenarioConfig config = batched_config(41);
   config.steps = 4;
@@ -259,9 +261,26 @@ TEST(TraceTest, MalformedHeadersAreRejectedNotReplayed) {
     std::size_t width;
     std::uint64_t value;
   };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   const Field fields[] = {
+      {"max_size = 0", 0, 8, 0},
+      {"max_size = 1", 0, 8, 1},
+      {"tau = NaN", 8, 8, bits(nan)},
+      {"tau = 1", 8, 8, bits(1.0)},
+      {"tau = -0.1", 8, 8, bits(-0.1)},
       {"k = 0", 16, 8, 0},
       {"k = -1", 16, 8, static_cast<std::uint64_t>(-1)},
+      {"l = 0", 24, 8, bits(0.0)},
+      {"l = 1", 24, 8, bits(1.0)},
+      {"l = inf", 24, 8, bits(inf)},
+      {"alpha = -1", 32, 8, bits(-1.0)},
+      {"alpha = NaN", 32, 8, bits(nan)},
+      {"over_degree_constant = 0", 40, 8, bits(0.0)},
+      {"over_cap_factor = 0", 48, 8, bits(0.0)},
+      {"walk_factor = 0", 56, 8, bits(0.0)},
+      {"walk_factor = -inf", 56, 8, bits(-inf)},
       {"walk_mode", 64, 4, 5},
       {"merge_policy", 68, 4, 2},
       {"rand_num_mode", 72, 4, 2},
