@@ -334,6 +334,11 @@ void BM_MemberEditApply(benchmark::State& state) {
   core::NowState st{over};
   std::vector<std::size_t> slots;
   slots.reserve(k);
+  // One node id in five is Byzantine, swapped-in ids included, so the
+  // stage-1 recount of each slot's Byzantine count reads real marks.
+  const auto mark = [&st](NodeId node) {
+    if (node.value() % 5 == 0) st.set_byzantine(node, true);
+  };
   for (std::size_t ci = 0; ci < k; ++ci) {
     const ClusterId c = st.create_cluster();
     slots.push_back(st.slot_index(c));
@@ -341,6 +346,7 @@ void BM_MemberEditApply(benchmark::State& state) {
       const NodeId node{ci * kClusterSize + i};
       st.register_node(node);
       st.add_member(c, node);
+      mark(node);
     }
   }
   std::vector<std::vector<core::NowState::MemberEdit>> forward(k);
@@ -349,6 +355,7 @@ void BM_MemberEditApply(benchmark::State& state) {
     for (std::size_t j = 0; j < kEditsPerCluster; ++j) {
       const NodeId old_id{ci * kClusterSize + j};
       const NodeId new_id{n + ci * kEditsPerCluster + j};
+      mark(new_id);
       forward[ci].push_back({old_id, /*add=*/false});
       forward[ci].push_back({new_id, /*add=*/true});
       backward[ci].push_back({new_id, /*add=*/false});

@@ -63,7 +63,7 @@ int main() {
       const auto& state = system.state();
       const ClusterId owner =
           state.random_cluster_size_biased(system.rng());
-      const auto neighbors = state.overlay.neighbors(owner);
+      const auto neighbors = state.overlay().neighbors(owner);
       if (neighbors.empty()) {
         ++failed;
         continue;

@@ -31,7 +31,7 @@ AggregationReport aggregate_sum(
     const ClusterId c = frontier.front();
     frontier.pop_front();
     order.push_back(c);
-    for (const ClusterId nb : state.overlay.neighbors(c)) {
+    for (const ClusterId nb : state.overlay().neighbors(c)) {
       if (parent.contains(nb)) continue;
       parent[nb] = c;
       depth[nb] = depth.at(c) + 1;

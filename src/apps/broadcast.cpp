@@ -30,7 +30,7 @@ BroadcastReport broadcast(core::NowSystem& system, NodeId source,
     const ClusterId c = frontier.front();
     frontier.pop_front();
     const std::size_t d = depth.at(c);
-    for (const ClusterId nb : state.overlay.neighbors(c)) {
+    for (const ClusterId nb : state.overlay().neighbors(c)) {
       if (depth.contains(nb)) continue;
       const auto outcome = cluster::cluster_send(
           state.cluster_at(c), state.cluster_at(nb), 1,

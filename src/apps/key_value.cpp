@@ -41,7 +41,7 @@ std::size_t KeyValueService::charge_route(ClusterId from, ClusterId to,
   while (!frontier.empty() && !parent.contains(to)) {
     const ClusterId c = frontier.front();
     frontier.pop_front();
-    for (const ClusterId nb : state.overlay.neighbors(c)) {
+    for (const ClusterId nb : state.overlay().neighbors(c)) {
       if (parent.try_emplace(nb, c).second) frontier.push_back(nb);
     }
   }

@@ -81,26 +81,11 @@ class Cluster {
 
   void remove_member(NodeId node) { slab_->erase_sorted(slot_, node); }
 
-  /// Bulk membership update in one merge pass: drops `removals` and splices
-  /// in `additions` (both sorted; removals must all be present — enforced —
-  /// additions all absent). O(|members| + |edits|) where one
-  /// add/remove_member call each is O(|members|). `scratch` is the caller's
-  /// reusable buffer (capacity persists across calls, contents ignored).
-  /// Sequential only: the extent may relocate. The batch commit's parallel
-  /// stage 1 instead pairs merge_sorted_edits with MemberSlab::try_assign.
-  void apply_sorted_edits(std::span<const NodeId> removals,
-                          std::span<const NodeId> additions,
-                          std::vector<NodeId>& scratch) {
-    merge_sorted_edits(members(), removals, additions, scratch);
-    slab_->assign(slot_, scratch);
-  }
-
   /// Member at sorted position `index` (used with randNum for uniform picks).
   [[nodiscard]] NodeId member_at(std::size_t index) const {
     assert(index < size());
     return members()[index];
   }
-
 
   /// Uniformly random member.
   [[nodiscard]] NodeId random_member(Rng& rng) const {

@@ -11,8 +11,8 @@
 // Layout determinism contract: the extent table (and therefore every slab
 // position) must be bit-identical across shard counts. That holds
 // because the pool is only ever reshaped at sequential points:
-//   * insert_sorted / erase_sorted / assign — sequential join()/leave() and
-//     the stage-2 split/merge/spill paths;
+//   * insert_sorted / erase_sorted / replace_sorted / assign — sequential
+//     join()/leave() and the stage-2 split/merge/spill paths;
 //   * compact() — triggered by a fixed threshold on (tail_, live_), both of
 //     which evolve through the same canonical mutation sequence everywhere
 //     (try_assign adjusts live_ with a relaxed atomic add, an
@@ -124,6 +124,29 @@ class MemberSlab {
     --e.size;
     live_.fetch_sub(1, std::memory_order_relaxed);
     maybe_compact();
+  }
+
+  /// Replaces member `old_node` with `new_node` (absent) in place: one
+  /// shift of the members between old_node's position and new_node's
+  /// insertion point. The size does not change, so the extent never
+  /// relocates, live_ does not move and no compaction check runs.
+  void replace_sorted(std::size_t slot, NodeId old_node, NodeId new_node) {
+    const Extent& e = extents_[slot];
+    NodeId* const base = pool_.data() + e.first;
+    NodeId* const last = base + e.size;
+    NodeId* const at = std::lower_bound(base, last, old_node);
+    assert(at != last && *at == old_node && "member not present");
+    if (old_node < new_node) {
+      NodeId* const ins = std::lower_bound(at + 1, last, new_node);
+      assert((ins == last || *ins != new_node) && "member already present");
+      std::copy(at + 1, ins, at);
+      *(ins - 1) = new_node;
+    } else {
+      NodeId* const ins = std::lower_bound(base, at, new_node);
+      assert((ins == at || *ins != new_node) && "member already present");
+      std::copy_backward(ins, at, at + 1);
+      *ins = new_node;
+    }
   }
 
   /// Replaces the slot's members with `members` (sorted), relocating the

@@ -291,7 +291,8 @@ void plan_wave(const NowState& state, const NowParams& params,
   // valid: one extent-table read per cluster interaction.
   const std::span<const NodeId> snapshot = c_cluster.members();
   const std::uint64_t c_size = snapshot.size();
-  const std::uint64_t c_neighborhood = cache.neighborhood_by_slot[c_slot];
+  const std::uint64_t c_neighborhood =
+      state.neighborhood_population_at_slot(c_slot);
   for (const NodeId x : snapshot) {
     if (std::find(skips.begin(), skips.end(), x) != skips.end()) continue;
     // Pick the counterpart cluster with randCl (law |C'|/n); a walk landing
@@ -326,7 +327,7 @@ void plan_wave(const NowState& state, const NowParams& params,
       // info the newcomers receive — identical units to the sequential
       // exchange_all, in one Metrics call.
       const std::uint64_t p_neighborhood =
-          cache.neighborhood_by_slot[partner_slot];
+          state.neighborhood_population_at_slot(partner_slot);
       const std::uint64_t handoff_units = c_size + to_size;
       const std::uint64_t c_info = c_size + c_neighborhood;
       const std::uint64_t p_info = to_size + p_neighborhood;
@@ -358,7 +359,8 @@ std::uint32_t plan_join(const NowState& state, const NowParams& params,
   std::uint64_t rounds = walk.rounds;
 
   const std::uint64_t dest_size = state.member_slab().size(walk.slot);
-  const std::uint64_t neighborhood = cache.neighborhood_by_slot[walk.slot];
+  const std::uint64_t neighborhood =
+      state.neighborhood_population_at_slot(walk.slot);
   metrics.add_messages(dest_size * neighborhood);  // announce x, 1 unit
   const std::uint64_t info_units = dest_size + neighborhood;
   metrics.add_messages(info_units *
@@ -376,11 +378,12 @@ std::uint32_t plan_join(const NowState& state, const NowParams& params,
 /// over the flat per-slot tables. The induced exchange wave (plus the
 /// secondary waves of its partners) is scheduled by the wave scheduler;
 /// the induced merge is deferred to commit.
-std::uint64_t plan_leave(const NowState& state, const PlanCache& cache,
-                         std::uint32_t slot, Metrics& metrics) {
+std::uint64_t plan_leave(const NowState& state, std::uint32_t slot,
+                         Metrics& metrics) {
   OpScope scope(metrics, "leave");
+  // Drop x: one unit from every member to the whole neighborhood.
   metrics.add_messages(state.member_slab().size(slot) *
-                       cache.neighborhood_by_slot[slot]);  // drop x
+                       state.neighborhood_population_at_slot(slot));
   metrics.add_rounds(1);
   return 1;
 }
@@ -579,7 +582,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
                                       bs.op_rounds[index]);
       } else {
         bs.op_rounds[index] =
-            plan_leave(snapshot, cache, bs.op_slot[index], shard_metrics[s]);
+            plan_leave(snapshot, bs.op_slot[index], shard_metrics[s]);
       }
     }
   });
@@ -760,9 +763,10 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     }
 
     // Stage 2 (sequential): merge the per-shard size deltas into the
-    // Fenwick mirror in one O(k)-bounded pass, reconcile the placed-node
-    // count, then run the deferred splits/merges on every cluster whose
-    // size changed, in first-touch order.
+    // Fenwick mirror and the neighborhood populations in one O(k)-bounded
+    // pass, reconcile the placed-node count, then run the deferred
+    // splits/merges on every cluster whose size changed, in first-touch
+    // order.
     std::vector<std::pair<std::size_t, std::int64_t>>& all_deltas =
         bs.all_deltas;
     all_deltas.clear();
@@ -771,7 +775,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
                         bs.delta_scratch[s].end());
     }
     // The concatenation order depends on the shard count's slot-block
-    // partition; every consumer (Fenwick adds, PlanCache patches) is
+    // partition; every consumer (Fenwick and population adds) is
     // order-independent, and slots are unique per batch (one owner each).
     state_.apply_size_deltas(all_deltas);
     state_.adjust_placed_count(static_cast<std::int64_t>(joins) -
@@ -798,16 +802,15 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     metrics_.add_rounds(commit_rounds);
     combined.commit_cost = commit.cost();
 
-    // Cache maintenance: a structure-preserving batch folds the very size
-    // deltas stage 2 just applied into the persistent PlanCache (patching
-    // every overlay neighbor's neighborhood population and rebuilding the
-    // alias table over the current sizes); any restructuring invalidates
-    // it and the next batch rebuilds.
+    // Cache maintenance: a structure-preserving batch rebuilds the
+    // persistent PlanCache's alias table over the sizes stage 2 just
+    // committed; any restructuring invalidates it and the next batch
+    // rebuilds.
     if (combined.splits > 0 || combined.merges > 0 ||
         combined.rejoins > 0) {
       cache.invalidate();
     } else if (cache.valid) {
-      cache.apply_size_deltas(state_, all_deltas);
+      cache.rebuild_alias(state_);
     }
     stage2_span.stop();
   }

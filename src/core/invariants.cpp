@@ -22,8 +22,9 @@ InvariantReport check_invariants(const NowState& state,
   report.num_nodes = state.num_nodes();
   report.num_clusters = state.num_clusters();
 
-  // --- I5: bookkeeping consistency, the Byzantine counts I1 reads included
-  // (the member walk recounts them as an independent witness).
+  // --- I5: bookkeeping consistency, the Byzantine counts I1 reads and the
+  // neighborhood populations the message charges read included (the member
+  // and adjacency walks recount them as independent witnesses).
   std::size_t members_total = 0;
   for (const ClusterId id : state.cluster_ids()) {
     const auto& c = state.cluster_at(id);
@@ -44,9 +45,17 @@ InvariantReport check_invariants(const NowState& state,
          << " Byzantine members but holds " << byzantine_members;
       violate(report, os.str());
     }
-    if (!state.overlay.has(id)) {
+    if (!state.overlay().has(id)) {
       std::ostringstream os;
       os << "cluster " << id << " missing from overlay";
+      violate(report, os.str());
+    }
+    const std::uint64_t population = count_neighborhood_population(state, id);
+    if (population != state.neighborhood_population(id)) {
+      std::ostringstream os;
+      os << "cluster " << id << " keeps neighborhood population "
+         << state.neighborhood_population(id) << " but its neighbors hold "
+         << population;
       violate(report, os.str());
     }
   }
@@ -65,7 +74,7 @@ InvariantReport check_invariants(const NowState& state,
        << state.live_nodes().size();
     violate(report, os.str());
   }
-  if (state.overlay.num_clusters() != state.num_clusters()) {
+  if (state.overlay().num_clusters() != state.num_clusters()) {
     violate(report, "overlay vertex set differs from cluster set");
   }
 
@@ -115,15 +124,15 @@ InvariantReport check_invariants(const NowState& state,
   }
 
   // --- I3 / I4: overlay properties.
-  report.overlay_max_degree = state.overlay.graph().max_degree();
-  report.overlay_min_degree = state.overlay.graph().min_degree();
-  if (report.overlay_max_degree > state.overlay.degree_cap()) {
+  report.overlay_max_degree = state.overlay().graph().max_degree();
+  report.overlay_min_degree = state.overlay().graph().min_degree();
+  if (report.overlay_max_degree > state.overlay().degree_cap()) {
     std::ostringstream os;
     os << "overlay degree " << report.overlay_max_degree << " exceeds cap "
-       << state.overlay.degree_cap();
+       << state.overlay().degree_cap();
     violate(report, os.str());
   }
-  report.overlay_connected = graph::is_connected(state.overlay.graph());
+  report.overlay_connected = graph::is_connected(state.overlay().graph());
   if (!report.overlay_connected) violate(report, "overlay disconnected");
 
   return report;

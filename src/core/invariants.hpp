@@ -8,8 +8,10 @@
 //       [merge_threshold, split_threshold] at rest.
 //   I3 (Property 2): overlay degrees are at most the cap.
 //   I4 (Property 1, necessary part): the overlay is connected.
-//   I5 (bookkeeping): the partition and the node->cluster map agree, and
-//       every overlay vertex is a cluster and vice versa.
+//   I5 (bookkeeping): the partition and the node->cluster map agree,
+//       every overlay vertex is a cluster and vice versa, and the kept
+//       Byzantine counts and neighborhood populations equal their
+//       recounts.
 #pragma once
 
 #include <cstddef>

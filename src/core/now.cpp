@@ -12,7 +12,6 @@
 #include "cluster/intercluster.hpp"
 #include "cluster/rand_num.hpp"
 #include "common/math_util.hpp"
-#include "core/plan_cache.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/erdos_renyi.hpp"
 
@@ -20,19 +19,13 @@ namespace now::core {
 
 namespace {
 
-// neighborhood_population lives in core/plan_cache.hpp — the same helper
-// backs the live-state charging below and the cache maintenance, so the
-// audience computation can never drift between them.
-
 /// Charges the cost of cluster `c` multicasting `units` words to every node
 /// of every neighboring cluster (each member sends, majority rule applies).
 void charge_neighborhood_broadcast(const NowState& state, ClusterId c,
                                    std::uint64_t units, Metrics& metrics) {
   const auto senders =
       static_cast<std::uint64_t>(state.cluster_at(c).size());
-  const auto audience =
-      static_cast<std::uint64_t>(neighborhood_population(state, c));
-  metrics.add_messages(senders * audience * units);
+  metrics.add_messages(senders * state.neighborhood_population(c) * units);
 }
 
 }  // namespace
@@ -131,7 +124,7 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
 
     // Overlay wiring: for each pair of clusters, the representative cluster
     // draws the ER coin (we charge one randNum per pair).
-    state_.overlay.initialize(cluster_ids, rng_);
+    state_.initialize_overlay(cluster_ids, rng_);
     const std::uint64_t pair_count =
         static_cast<std::uint64_t>(num_clusters) *
         std::max<std::uint64_t>(1, num_clusters - 1) / 2;
@@ -148,7 +141,7 @@ InitReport NowSystem::initialize(std::size_t n0, std::size_t byzantine_count,
       const auto& c = state_.cluster_at(cid);
       const std::uint64_t info_units =
           static_cast<std::uint64_t>(c.size()) +
-          static_cast<std::uint64_t>(neighborhood_population(state_, cid));
+          state_.neighborhood_population(cid);
       inform_messages += static_cast<std::uint64_t>(representative.size()) *
                          static_cast<std::uint64_t>(c.size()) * info_units;
     }
@@ -173,7 +166,7 @@ over::Overlay::Sampler NowSystem::overlay_sampler(std::uint64_t* rounds_max) {
     (void)rng;  // walks draw from the system rng for reproducibility
     ClusterId start = requester;
     if (!state_.has_cluster(start) ||
-        state_.overlay.degree(start) == 0) {
+        state_.overlay().degree(start) == 0) {
       // A vertex being wired for the first time cannot start a walk on its
       // own (no edges yet); its sponsor launches the walk instead. Fall back
       // to a uniformly chosen live cluster as the sponsor.
@@ -230,8 +223,8 @@ Cost NowSystem::exchange_all(ClusterId c,
       chain_rounds += draw.cost.rounds;
       const NodeId y = to.member_at(draw.value);
       // Swap x <-> y; both sides hand over membership + overlay knowledge.
-      state_.move_node(x, c, partner);
-      state_.move_node(y, partner, c);
+      // A swap changes no size, so no population moves either.
+      state_.swap_members(x, c, y, partner);
       const std::uint64_t handoff_units =
           static_cast<std::uint64_t>(from.size()) +
           static_cast<std::uint64_t>(to.size());
@@ -243,11 +236,10 @@ Cost NowSystem::exchange_all(ClusterId c,
       // Newcomers learn the local overlay structure from their new cluster.
       const std::uint64_t c_info =
           static_cast<std::uint64_t>(from.size()) +
-          static_cast<std::uint64_t>(neighborhood_population(state_, c));
+          state_.neighborhood_population(c);
       const std::uint64_t p_info =
           static_cast<std::uint64_t>(to.size()) +
-          static_cast<std::uint64_t>(
-              neighborhood_population(state_, partner));
+          state_.neighborhood_population(partner);
       metrics_.add_messages(c_info * from.size() + p_info * to.size());
       chain_rounds += 1;
     }
@@ -276,7 +268,7 @@ std::uint64_t NowSystem::place_node(NodeId node, OpReport& report) {
   // ... and send x its new neighborhood back along the walk's path.
   const std::uint64_t info_units =
       static_cast<std::uint64_t>(dest.size()) +
-      static_cast<std::uint64_t>(neighborhood_population(state_, target));
+      state_.neighborhood_population(target);
   metrics_.add_messages(info_units *
                         (static_cast<std::uint64_t>(dest.size()) +
                          static_cast<std::uint64_t>(walk.hops)));
@@ -385,7 +377,7 @@ std::uint64_t NowSystem::do_split(ClusterId c, OpReport& report) {
   // C1 (= c) keeps its id and neighbors; C2 joins the overlay through
   // OVER's Add, drawing its neighbors with randCl (walks run in parallel).
   std::uint64_t wiring_rounds = 0;
-  state_.overlay.add_vertex(fresh, overlay_sampler(&wiring_rounds), rng_);
+  state_.add_overlay_vertex(fresh, overlay_sampler(&wiring_rounds), rng_);
   rounds += wiring_rounds;
 
   // The split is announced to C1's neighborhood; C2 exchanges composition
@@ -393,8 +385,7 @@ std::uint64_t NowSystem::do_split(ClusterId c, OpReport& report) {
   charge_neighborhood_broadcast(state_, c, 2, metrics_);
   const std::uint64_t c2_size = state_.cluster_at(fresh).size();
   const std::uint64_t c2_info =
-      c2_size + static_cast<std::uint64_t>(
-                    neighborhood_population(state_, fresh));
+      c2_size + state_.neighborhood_population(fresh);
   metrics_.add_messages(c2_info * c2_size);
   rounds += 2;
 
@@ -424,7 +415,7 @@ std::uint64_t NowSystem::do_merge(ClusterId c, OpReport& report) {
     for (const NodeId x : moving) state_.move_node(x, victim, c);
     charge_neighborhood_broadcast(state_, victim, 1, metrics_);
     std::uint64_t repair_rounds = 0;
-    state_.overlay.remove_vertex(victim, overlay_sampler(&repair_rounds),
+    state_.remove_overlay_vertex(victim, overlay_sampler(&repair_rounds),
                                  rng_);
     state_.destroy_cluster(victim);
     rounds += repair_rounds + 1;
@@ -447,7 +438,7 @@ std::uint64_t NowSystem::do_merge(ClusterId c, OpReport& report) {
     state_.remove_member(c, x);
   }
   std::uint64_t repair_rounds = 0;
-  state_.overlay.remove_vertex(c, overlay_sampler(&repair_rounds), rng_);
+  state_.remove_overlay_vertex(c, overlay_sampler(&repair_rounds), rng_);
   state_.destroy_cluster(c);
   rounds += repair_rounds;
 

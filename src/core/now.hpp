@@ -265,8 +265,7 @@ class NowSystem {
   [[nodiscard]] std::size_t footprint_bytes() const;
 
   /// Verifies the persistent PlanCache against the live state (column
-  /// order, neighborhoods, alias mass per cluster). For the nightly
-  /// large-n stress; O(k).
+  /// order, alias mass per cluster). For the nightly large-n stress; O(k).
   [[nodiscard]] bool plan_cache_consistent() const;
 
  private:

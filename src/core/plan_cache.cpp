@@ -2,22 +2,11 @@
 
 namespace now::core {
 
-std::uint64_t neighborhood_population(const NowState& state, ClusterId c) {
-  std::uint64_t total = 0;
-  for (const graph::Vertex v : state.overlay.graph().neighbors(c.value())) {
-    total += state.cluster_at(ClusterId{v}).size();
-  }
-  return total;
-}
-
 void PlanCache::build(const NowState& state, const NowParams& params) {
   column_slot.clear();
   column_slot.reserve(state.num_clusters());
-  neighborhood_by_slot.assign(state.slot_count(), 0);
   for (const ClusterId c : state.cluster_ids()) {
-    const std::size_t slot = state.slot_index(c);
-    neighborhood_by_slot[slot] = neighborhood_population(state, c);
-    column_slot.push_back(static_cast<std::uint32_t>(slot));
+    column_slot.push_back(static_cast<std::uint32_t>(state.slot_index(c)));
   }
   rebuild_alias(state);
   refresh(state, params);
@@ -28,24 +17,6 @@ void PlanCache::refresh(const NowState& state, const NowParams& params) {
   if (params.walk_mode == WalkMode::kSampleExact) {
     walk = rand_cl_cost_model(state, params);
   }
-}
-
-void PlanCache::apply_size_deltas(
-    const NowState& state,
-    std::span<const std::pair<std::size_t, std::int64_t>> deltas) {
-  for (const auto& [slot, delta] : deltas) {
-    // Patch every overlay neighbor's neighborhood population. The overlay
-    // is untouched between structure-preserving batches, so adjacency is
-    // exactly what both the live state and the cached tables agree on.
-    for (const graph::Vertex v : state.overlay.graph().neighbors(
-             state.cluster_at_slot(slot).id().value())) {
-      std::uint64_t& neighborhood =
-          neighborhood_by_slot[state.slot_index(ClusterId{v})];
-      neighborhood = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(neighborhood) + delta);
-    }
-  }
-  rebuild_alias(state);
 }
 
 void PlanCache::rebuild_alias(const NowState& state) {
@@ -96,9 +67,7 @@ bool PlanCache::consistent_with(const NowState& state) const {
   const std::span<const ClusterId> ids = state.cluster_ids();
   const std::size_t k = ids.size();
   if (column_slot.size() != k || alias_threshold.size() != k ||
-      alias_slot.size() != k ||
-      neighborhood_by_slot.size() != state.slot_count() ||
-      total_weight != state.num_nodes()) {
+      alias_slot.size() != k || total_weight != state.num_nodes()) {
     return false;
   }
   // Every column carries total_weight units: its threshold to its own
@@ -108,9 +77,6 @@ bool PlanCache::consistent_with(const NowState& state) const {
     const std::size_t slot = state.slot_index(ids[i]);
     if (column_slot[i] != slot || alias_slot[i] >= mass.size() ||
         alias_threshold[i] > total_weight) {
-      return false;
-    }
-    if (neighborhood_by_slot[slot] != neighborhood_population(state, ids[i])) {
       return false;
     }
     mass[slot] += alias_threshold[i];

@@ -1,7 +1,7 @@
 // PlanCache — the frozen-snapshot aggregates shared read-only by every
 // planner thread of the batch engine (src/core/batch.cpp, DESIGN.md §7),
 // a PERSISTENT, incrementally maintained structure instead of a per-batch
-// O(k + sum degrees) rebuild.
+// rebuild.
 //
 // Clusters are addressed by SLOT, like everywhere in the batch engine: the
 // wave planners draw partner clusters tens of thousands of times per
@@ -11,15 +11,16 @@
 // the live clusters in the cluster_ids() order of the last build; each
 // column stores slots, so a draw returns a slot directly.
 //
+// The neighborhood populations the planners charge are not cached here:
+// NowState keeps them exact (NowState::neighborhood_population_at_slot).
+//
 // Lifecycle:
-//   * build(state, params) — the full O(k + sum degrees) construction
-//     (column order, neighborhood populations, the exact integer Vose
-//     alias table over cluster sizes);
-//   * apply_size_deltas(state, deltas) — called once by the batch commit
-//     with the per-slot size deltas it just folded into the Fenwick
-//     mirror, keeping the cache exact across batches without the full
-//     rebuild: neighborhood populations are patched through the overlay
-//     adjacency and the O(k) Vose table is rebuilt over the slab's sizes;
+//   * build(state, params) — the full O(k) construction (column order and
+//     the exact integer Vose alias table over cluster sizes);
+//   * rebuild_alias(state) — called once by a structure-preserving batch
+//     commit after stage 2 folded its size deltas in: the O(k) Vose table
+//     is rebuilt over the slab's current sizes, keeping the cache exact
+//     across batches;
 //   * invalidate() — any structural mutation (split/merge/create/destroy,
 //     overlay rewiring, or a sequential join()/leave()) throws the cache
 //     away; the next batch rebuilds.
@@ -31,8 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -42,16 +41,7 @@
 
 namespace now::core {
 
-/// Sum of neighbor-cluster sizes — the audience of a composition update.
-/// Reads the overlay's graph adjacency directly (allocation-free). Shared
-/// by the live-state charging in now.cpp and the cache maintenance here,
-/// so the two can never drift.
-[[nodiscard]] std::uint64_t neighborhood_population(const NowState& state,
-                                                    ClusterId c);
-
 struct PlanCache {
-  /// Sum of neighbor-cluster sizes, keyed by cluster slot.
-  std::vector<std::uint64_t> neighborhood_by_slot;
   /// Modeled kSampleExact walk (cluster unset); invalid under kSimulate.
   /// Refreshed every batch (n and k move), O(1).
   RandClResult walk;
@@ -77,37 +67,27 @@ struct PlanCache {
   /// model (n and k move every batch), O(1).
   void refresh(const NowState& state, const NowParams& params);
 
-  /// Folds one batch's committed per-slot size deltas (the same deltas
-  /// stage 2 hands FenwickTree::apply_deltas, in any order) into the
-  /// cache: every overlay neighbor's neighborhood population, then
-  /// rebuilds the Vose table over the current sizes. Only valid between
-  /// structure-preserving batches — callers must invalidate() instead
-  /// when the commit split, merged, created or destroyed any cluster.
-  void apply_size_deltas(
-      const NowState& state,
-      std::span<const std::pair<std::size_t, std::int64_t>> deltas);
+  /// Vose construction over the slab's current sizes of column_slot: the
+  /// whole update a structure-preserving batch needs. Callers must
+  /// invalidate() instead when the commit split, merged, created or
+  /// destroyed any cluster (the columns changed).
+  void rebuild_alias(const NowState& state);
 
   /// Slot drawn with probability |C| / n (current sizes, exactly).
   [[nodiscard]] std::uint32_t draw_biased(Rng& rng) const;
 
-  /// Exhaustive consistency check against the live state (column order,
-  /// neighborhood populations, and the alias table's per-cluster mass
-  /// against the current sizes). Debug builds assert this at every batch
-  /// start, so the sanitizer CI jobs verify the incremental maintenance
-  /// on every batched test.
+  /// Exhaustive consistency check against the live state (column order
+  /// and the alias table's per-cluster mass against the current sizes).
+  /// Debug builds assert this at every batch start, so the sanitizer CI
+  /// jobs verify the incremental maintenance on every batched test.
   [[nodiscard]] bool consistent_with(const NowState& state) const;
 
   /// Resident bytes of the slot tables and the alias sampler (capacities).
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return (neighborhood_by_slot.capacity() + alias_threshold.capacity()) *
-               sizeof(std::uint64_t) +
+    return alias_threshold.capacity() * sizeof(std::uint64_t) +
            (column_slot.capacity() + alias_slot.capacity()) *
                sizeof(std::uint32_t);
   }
-
- private:
-  /// Vose construction over the slab's current sizes of column_slot.
-  void rebuild_alias(const NowState& state);
 };
 
 }  // namespace now::core

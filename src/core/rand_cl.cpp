@@ -18,9 +18,9 @@ namespace {
 /// duration T are ~ T * avg_degree.)
 double walk_duration(const NowState& state, const NowParams& params) {
   const double m = static_cast<double>(std::max<std::size_t>(
-      state.overlay.num_clusters(), 2));
+      state.overlay().num_clusters(), 2));
   const double avg_degree = std::max(
-      1.0, 2.0 * static_cast<double>(state.overlay.graph().num_edges()) / m);
+      1.0, 2.0 * static_cast<double>(state.overlay().graph().num_edges()) / m);
   return params.walk_factor * log_pow(m, 2.0) / avg_degree;
 }
 
@@ -31,7 +31,7 @@ Cost charge_hop_rand_num(const NowState& state, const NowParams& params,
                          ClusterId at, Metrics& metrics, Rng& rng) {
   const std::size_t size = state.cluster_at(at).size();
   const auto draw = cluster::rand_num_value(
-      size, /*r=*/std::max<std::uint64_t>(2, state.overlay.degree(at) + 1),
+      size, /*r=*/std::max<std::uint64_t>(2, state.overlay().degree(at) + 1),
       params.rand_num_mode, metrics, rng);
   return draw.cost;
 }
@@ -50,7 +50,7 @@ RandClResult simulate_walk(const NowState& state, const NowParams& params,
     // --- One CTRW of length `duration`.
     double remaining = duration;
     while (true) {
-      const std::size_t deg = state.overlay.degree(current);
+      const std::size_t deg = state.overlay().degree(current);
       if (deg == 0) break;  // isolated vertex (single-cluster overlay)
       const Cost hop_rand = charge_hop_rand_num(state, params, current,
                                                 metrics, rng);
@@ -61,7 +61,7 @@ RandClResult simulate_walk(const NowState& state, const NowParams& params,
       }
       remaining -= hold;
       const ClusterId next =
-          state.overlay.neighbors(current)[rng.uniform(deg)];
+          state.overlay().neighbors(current)[rng.uniform(deg)];
       const auto transfer = cluster::cluster_send(
           state.cluster_at(current), state.cluster_at(next), 1,
           state.byzantine_count(current), metrics);

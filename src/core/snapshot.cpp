@@ -187,7 +187,7 @@ void snapshot_save_state(const NowState& state, SnapshotWriter& w) {
   w.u64(state.byzantine.size());
   for (const NodeId node : state.byzantine) w.u64(node.value());
 
-  const graph::Graph& g = state.overlay.graph();
+  const graph::Graph& g = state.overlay_.graph();
   w.u64(g.vertex_order().size());
   for (const graph::Vertex v : g.vertex_order()) w.u64(v);
   for (const graph::Vertex v : g.vertex_order()) {
@@ -206,6 +206,7 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
   state.slots_.resize(slot_count);
   state.live_pos_.assign(slot_count, 0);
   state.byz_count_.assign(slot_count, 0);
+  state.neighborhood_.assign(slot_count, 0);
   state.free_slots_.clear();
   state.live_ids_.clear();
   state.cluster_slot_.clear();
@@ -306,13 +307,16 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
     state.set_byzantine(NodeId{r.u64()}, true);
   }
 
-  graph::Graph& g = state.overlay.graph_for_restore();
+  graph::Graph& g = state.overlay_.graph_for_restore();
   g.clear();
   const std::uint64_t vertex_count = r.count(8);
   std::vector<graph::Vertex> order;
   order.reserve(vertex_count);
   for (std::uint64_t i = 0; i < vertex_count; ++i) {
     const graph::Vertex v = r.u64();
+    if (!state.has_cluster(ClusterId{v})) {
+      throw SnapshotError("overlay vertex is not a live cluster");
+    }
     order.push_back(v);
     g.add_vertex(v);
   }
@@ -326,6 +330,8 @@ void snapshot_load_state(NowState& state, SnapshotReader& r) {
       if (v < n) g.add_edge(v, n);
     }
   }
+  // The populations are derived from the sizes and the adjacency.
+  for (const ClusterId id : state.live_ids_) state.recount_neighborhood(id);
 }
 
 // ------------------------------------------------------------ NowSystem

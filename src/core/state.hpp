@@ -2,6 +2,15 @@
 // node -> cluster map, the OVER overlay, and the (simulation-only) ground
 // truth of which nodes the adversary controls.
 //
+// NowState also owns each cluster's neighborhood population — the sum of
+// its overlay neighbors' sizes, the audience every composition update is
+// charged against. Size changes add their delta to the changed cluster's
+// neighbors, and the overlay is only readable from outside: its edges
+// change through initialize_overlay / add_overlay_vertex /
+// remove_overlay_vertex, which recount the clusters whose adjacency
+// changed. An exchange swap (swap_members) changes no size, so it moves
+// no population and no Fenwick entry.
+//
 // Protocol code never *reads* the byzantine set to make decisions — honest
 // logic is oblivious to it. It is consulted only (a) by primitives whose
 // outcome genuinely depends on adversarial membership (e.g. the inter-
@@ -28,7 +37,8 @@
 //     sequential NodeId values;
 //   * byzantine — a flat NodeSet (dense vector + paged positions).
 // All membership mutations MUST flow through add_member / remove_member /
-// move_node so the Fenwick mirror and Byzantine counts stay consistent;
+// move_node / swap_members so the Fenwick mirror, the Byzantine counts and
+// the neighborhood populations stay consistent;
 // Cluster objects are only handed out const. Two sanctioned exceptions:
 //   * corrupt_home_for_test, for invariant tests that need to break the
 //     bookkeeping on purpose;
@@ -37,10 +47,10 @@
 //     the stage-1/stage-2 split of the sharded batch commit (DESIGN.md §7):
 //     member-extent edits, their Byzantine counts and node_home writes
 //     happen shard-parallel against disjoint slots, over-full slots are
-//     spilled to a sequential stage-2 commit, and the Fenwick mirror and
-//     the placed-node count are reconciled afterwards in one sequential
-//     merge. Their contracts spell out exactly which shared structure each
-//     one may touch.
+//     spilled to a sequential stage-2 commit, and the Fenwick mirror, the
+//     neighborhood populations and the placed-node count are reconciled
+//     afterwards in one sequential merge. Their contracts spell out
+//     exactly which shared structure each one may touch.
 #pragma once
 
 #include <cassert>
@@ -85,19 +95,66 @@ class ByzantineSet {
   NodeSet set_;
 };
 
+class NowState;
+
+[[nodiscard]] inline std::uint64_t count_neighborhood_population(
+    const NowState& state, ClusterId c);
+
 class NowState {
  public:
   explicit NowState(const over::OverParams& over_params)
-      : overlay(over_params),
-        cluster_slot_(kNoSlot),
+      : cluster_slot_(kNoSlot),
         slab_(std::make_unique<cluster::MemberSlab>()),
-        node_home_(ClusterId::invalid()) {}
-
-  /// The OVER overlay (vertices are the live ClusterIds).
-  over::Overlay overlay;
+        node_home_(ClusterId::invalid()),
+        overlay_(over_params) {}
 
   /// Ground truth of adversarial control (see the header comment).
   ByzantineSet byzantine;
+
+  // ---------------------------------------------------------------- overlay
+
+  /// The OVER overlay (vertices are the live ClusterIds), read-only: its
+  /// edges change only through the three calls below, which keep the
+  /// neighborhood populations exact.
+  [[nodiscard]] const over::Overlay& overlay() const { return overlay_; }
+
+  /// Overlay::initialize over `clusters`, then recounts every population.
+  void initialize_overlay(const std::vector<ClusterId>& clusters, Rng& rng) {
+    overlay_.initialize(clusters, rng);
+    for (const ClusterId id : live_ids_) recount_neighborhood(id);
+  }
+
+  /// OVER's Add for `v` (a live cluster); recounts v and its new neighbors.
+  void add_overlay_vertex(ClusterId v, const over::Overlay::Sampler& sampler,
+                          Rng& rng) {
+    for (const ClusterId u : overlay_.add_vertex(v, sampler, rng)) {
+      recount_neighborhood(u);
+    }
+    recount_neighborhood(v);
+  }
+
+  /// OVER's Remove for `v`; recounts every survivor whose adjacency
+  /// changed. v's own population is dropped with its slot.
+  void remove_overlay_vertex(ClusterId v,
+                             const over::Overlay::Sampler& sampler,
+                             Rng& rng) {
+    for (const ClusterId u : overlay_.remove_vertex(v, sampler, rng)) {
+      recount_neighborhood(u);
+    }
+  }
+
+  /// Sum of the sizes of `id`'s overlay neighbors: the audience of a
+  /// composition update. O(1), kept exact by every size and edge change.
+  [[nodiscard]] std::uint64_t neighborhood_population(ClusterId id) const {
+    return neighborhood_[slot_of(id)];
+  }
+
+  /// neighborhood_population by slot (the batch planners' addressing).
+  [[nodiscard]] std::uint64_t neighborhood_population_at_slot(
+      std::size_t slot) const {
+    assert(slot < slots_.size() && slots_[slot].has_value());
+    return neighborhood_[slot];
+  }
 
   // ------------------------------------------------------------- identities
 
@@ -120,11 +177,13 @@ class NowState {
       slots_.emplace_back(std::in_place, id, *slab_, slot);
       live_pos_.push_back(0);
       byz_count_.push_back(0);
+      neighborhood_.push_back(0);
       if (sizes_.size() < slots_.size()) {
         sizes_.resize(std::max<std::size_t>(16, 2 * slots_.size()));
       }
     }
     cluster_slot_.set(id.value(), slot);
+    neighborhood_[slot] = 0;  // not in the overlay yet
     live_pos_[slot] = static_cast<std::uint32_t>(live_ids_.size());
     live_ids_.push_back(id);
     return id;
@@ -221,6 +280,7 @@ class NowState {
     slots_[slot]->add_member(node);
     node_home_.set(node.value(), c);
     sizes_.add(slot, 1);
+    shift_neighborhoods(c, 1);
     if (byzantine.contains(node)) ++byz_count_[slot];
     ++placed_count_;
   }
@@ -231,6 +291,7 @@ class NowState {
     slots_[slot]->remove_member(node);
     node_home_.unset(node.value());
     sizes_.subtract(slot, 1);
+    shift_neighborhoods(c, -1);
     if (byzantine.contains(node)) --byz_count_[slot];
     assert(placed_count_ > 0);
     --placed_count_;
@@ -246,9 +307,38 @@ class NowState {
     node_home_.set(node.value(), to);
     sizes_.subtract(from_slot, 1);
     sizes_.add(to_slot, 1);
+    shift_neighborhoods(from, -1);
+    shift_neighborhoods(to, 1);
     if (byzantine.contains(node)) {
       --byz_count_[from_slot];
       ++byz_count_[to_slot];
+    }
+  }
+
+  /// One exchange swap: `x` (a member of `c`) and `y` (a member of
+  /// `partner`) trade clusters. Each sorted extent gets one in-place
+  /// replace (MemberSlab::replace_sorted), so no extent relocates and the
+  /// slab is not checked for compaction. Sizes do not change, so the
+  /// Fenwick mirror and the neighborhood populations are left alone; a
+  /// Byzantine count moves only when exactly one endpoint is Byzantine.
+  void swap_members(NodeId x, ClusterId c, NodeId y, ClusterId partner) {
+    assert(c != partner);
+    assert(home_of(x) == c && home_of(y) == partner);
+    const std::uint32_t c_slot = slot_of(c);
+    const std::uint32_t partner_slot = slot_of(partner);
+    slab_->replace_sorted(c_slot, x, y);
+    slab_->replace_sorted(partner_slot, y, x);
+    node_home_.set(x.value(), partner);
+    node_home_.set(y.value(), c);
+    const bool x_byzantine = byzantine.contains(x);
+    if (x_byzantine != byzantine.contains(y)) {
+      if (x_byzantine) {
+        --byz_count_[c_slot];
+        ++byz_count_[partner_slot];
+      } else {
+        ++byz_count_[c_slot];
+        --byz_count_[partner_slot];
+      }
     }
   }
 
@@ -296,7 +386,8 @@ class NowState {
   // spilling the slot when the merge outgrew the extent's cap (the spill
   // set depends only on canonical per-slot edits and extent caps, so it is
   // shard-independent). These primitives deliberately do NOT maintain the
-  // Fenwick size mirror or the placed-node count — each shard accumulates
+  // Fenwick size mirror, the neighborhood populations or the placed-node
+  // count — each shard accumulates
   // signed size deltas privately and stage 2 first re-homes the spilled
   // slots (commit_spilled_members, ascending slot order), then folds the
   // deltas back in sequentially. Between the resolve pass and the matching
@@ -416,17 +507,17 @@ class NowState {
   void clear_home(NodeId node) { node_home_.unset(node.value()); }
 
   /// Stage 2: folds the per-shard signed size deltas into the Fenwick
-  /// mirror (slots must be live; a slot appears at most once per call since
-  /// each slot is owned by exactly one shard).
+  /// mirror and the neighbors' populations (slots must be live; a slot
+  /// appears at most once per call since each slot is owned by exactly one
+  /// shard). Both sums are order-independent.
   void apply_size_deltas(
       std::span<const std::pair<std::size_t, std::int64_t>> deltas) {
-#ifndef NDEBUG
     for (const auto& [slot, delta] : deltas) {
       assert(slot < slots_.size() && slots_[slot].has_value());
       assert(static_cast<std::int64_t>(sizes_.value_at(slot)) + delta ==
              static_cast<std::int64_t>(slots_[slot]->size()));
+      shift_neighborhoods(slots_[slot]->id(), delta);
     }
-#endif
     sizes_.apply_deltas(deltas);
   }
 
@@ -528,7 +619,8 @@ class NowState {
            cluster_slot_.footprint_bytes() + sizes_.footprint_bytes() +
            slab_->footprint_bytes() + node_home_.footprint_bytes() +
            live_.footprint_bytes() + byzantine.set_.footprint_bytes() +
-           byz_count_.capacity() * sizeof(std::uint32_t);
+           (byz_count_.capacity() + neighborhood_.capacity()) *
+               sizeof(std::uint32_t);
   }
 
  private:
@@ -539,12 +631,31 @@ class NowState {
   /// the free list and every dense order (live_ids_, live_, byzantine) are
   /// observable through sampling or slab positions, so they are written and
   /// reconstructed verbatim; the derived containers (cluster_slot_,
-  /// node_home_, sizes_, live_pos_, placed_count_, byz_count_) are rebuilt
-  /// from them.
+  /// node_home_, sizes_, live_pos_, placed_count_, byz_count_,
+  /// neighborhood_) are rebuilt from them.
   friend void snapshot_save_state(const NowState& state,
                                   SnapshotWriter& writer);
   friend void snapshot_load_state(NowState& state, SnapshotReader& reader);
   void clear_byzantine() { byzantine.set_.clear(); }  // for snapshot load
+
+  /// Adds `delta` to the population of every overlay neighbor of `id`,
+  /// whose size just changed by `delta`. A cluster outside the overlay
+  /// (initialize's clusters before wiring, a split's fresh half) has none.
+  /// Populations are bounded by the live node count, which the slab's u32
+  /// pool positions bound, so u32 arithmetic (wrapping on a transient
+  /// negative delta) is exact.
+  void shift_neighborhoods(ClusterId id, std::int64_t delta) {
+    for (const graph::Vertex v :
+         overlay_.graph().neighbors_if_present(id.value())) {
+      neighborhood_[slot_of(ClusterId{v})] += static_cast<std::uint32_t>(delta);
+    }
+  }
+
+  /// Sets `id`'s population from its adjacency (after an edge change).
+  void recount_neighborhood(ClusterId id) {
+    neighborhood_[slot_of(id)] =
+        static_cast<std::uint32_t>(count_neighborhood_population(*this, id));
+  }
 
   [[nodiscard]] std::uint32_t slot_of(ClusterId id) const {
     const std::uint32_t slot = cluster_slot_.get(id.value());
@@ -558,13 +669,15 @@ class NowState {
   ClusterId::value_type next_cluster_id_ = 0;
 
   // Slot table for clusters; sizes_ mirrors each slot's |C| for the biased
-  // draw and byz_count_ holds its Byzantine-member count. slots_,
-  // live_pos_ and byz_count_ are parallel (sizes_ over-allocates). The
-  // slab holds every slot's member extent; it sits behind a unique_ptr so
-  // the Cluster views' raw slab pointers survive NowState moves.
+  // draw, byz_count_ holds its Byzantine-member count and neighborhood_ the
+  // sum of its overlay neighbors' sizes. slots_, live_pos_, byz_count_ and
+  // neighborhood_ are parallel (sizes_ over-allocates). The slab holds
+  // every slot's member extent; it sits behind a unique_ptr so the Cluster
+  // views' raw slab pointers survive NowState moves.
   std::vector<std::optional<cluster::Cluster>> slots_;
   std::vector<std::uint32_t> live_pos_;
   std::vector<std::uint32_t> byz_count_;
+  std::vector<std::uint32_t> neighborhood_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<ClusterId> live_ids_;
   PagedIndex<std::uint32_t> cluster_slot_;
@@ -575,6 +688,21 @@ class NowState {
   std::size_t placed_count_ = 0;
 
   NodeSet live_;
+
+  over::Overlay overlay_;
 };
+
+/// Sum of the sizes of `c`'s overlay neighbors, recounted from the
+/// adjacency in O(deg): the reference for NowState::neighborhood_population
+/// (I5 and the tests compare the two). 0 for a cluster outside the overlay.
+[[nodiscard]] inline std::uint64_t count_neighborhood_population(
+    const NowState& state, ClusterId c) {
+  std::uint64_t total = 0;
+  for (const graph::Vertex v :
+       state.overlay().graph().neighbors_if_present(c.value())) {
+    total += state.cluster_at(ClusterId{v}).size();
+  }
+  return total;
+}
 
 }  // namespace now::core

@@ -105,6 +105,12 @@ const std::vector<Vertex>& Graph::neighbors(Vertex v) const {
   return adjacency_.at(v).neighbors;
 }
 
+std::span<const Vertex> Graph::neighbors_if_present(Vertex v) const {
+  const auto it = adjacency_.find(v);
+  if (it == adjacency_.end()) return {};
+  return it->second.neighbors;
+}
+
 std::vector<Vertex> Graph::vertices() const {
   std::vector<Vertex> result = vertex_list_;
   std::sort(result.begin(), result.end());

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +49,9 @@ class Graph {
 
   /// Sorted neighbors of v. Requires v to exist.
   [[nodiscard]] const std::vector<Vertex>& neighbors(Vertex v) const;
+
+  /// Sorted neighbors of v, or an empty list when v is absent.
+  [[nodiscard]] std::span<const Vertex> neighbors_if_present(Vertex v) const;
 
   /// All vertices in ascending key order.
   [[nodiscard]] std::vector<Vertex> vertices() const;

@@ -91,10 +91,17 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        parse_object(*value);
-        break;
       case '[':
-        parse_array(*value);
+        // The only recursion: bound it before descending.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        if (c == '{') {
+          parse_object(*value);
+        } else {
+          parse_array(*value);
+        }
+        --depth_;
         break;
       case '"':
         value->kind = Kind::kString;
@@ -264,6 +271,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 // side.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -60,8 +61,13 @@ class Value {
   [[nodiscard]] std::int64_t as_i64() const;
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so deeper input would overflow the stack; the OBS_*.json
+/// writers nest at most a handful of levels.
+inline constexpr std::size_t kMaxDepth = 512;
+
 /// Parses one JSON document; throws ParseError (with offset) on malformed
-/// input or trailing non-whitespace.
+/// input, trailing non-whitespace, or nesting deeper than kMaxDepth.
 [[nodiscard]] ValuePtr parse(std::string_view text);
 
 /// Reads and parses a JSON file; throws ParseError if unreadable.

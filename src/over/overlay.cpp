@@ -58,7 +58,8 @@ void Overlay::initialize(const std::vector<ClusterId>& clusters, Rng& rng) {
 }
 
 void Overlay::wire_random_edges(ClusterId v, std::size_t goal,
-                                const Sampler& sampler, Rng& rng) {
+                                const Sampler& sampler, Rng& rng,
+                                std::vector<ClusterId>& wired) {
   const graph::Vertex vv = as_vertex(v);
   const std::size_t m = graph_.num_vertices();
   if (m <= 1) return;
@@ -74,6 +75,7 @@ void Overlay::wire_random_edges(ClusterId v, std::size_t goal,
     if (graph_.has_edge(vv, u)) continue;
     if (graph_.degree(u) >= degree_cap()) continue;
     graph_.add_edge(vv, u);
+    wired.push_back(pick);
   }
 }
 
@@ -82,25 +84,28 @@ std::vector<ClusterId> Overlay::add_vertex(ClusterId v, const Sampler& sampler,
   const bool added = graph_.add_vertex(as_vertex(v));
   assert(added && "vertex already in overlay");
   (void)added;
-  wire_random_edges(v, target_degree(), sampler, rng);
-  std::vector<ClusterId> result;
-  for (const graph::Vertex u : graph_.neighbors(as_vertex(v)))
-    result.push_back(as_cluster(u));
-  return result;
+  std::vector<ClusterId> neighbors;
+  wire_random_edges(v, target_degree(), sampler, rng, neighbors);
+  return neighbors;
 }
 
-void Overlay::remove_vertex(ClusterId v, const Sampler& sampler, Rng& rng) {
+std::vector<ClusterId> Overlay::remove_vertex(ClusterId v,
+                                              const Sampler& sampler,
+                                              Rng& rng) {
   assert(graph_.has_vertex(as_vertex(v)));
   const std::vector<graph::Vertex> ex_neighbors =
       graph_.neighbors(as_vertex(v));
   graph_.remove_vertex(as_vertex(v));
+  std::vector<ClusterId> changed;
   const std::size_t floor_deg = degree_floor();
   for (const graph::Vertex u : ex_neighbors) {
     if (!graph_.has_vertex(u)) continue;
+    changed.push_back(as_cluster(u));
     if (graph_.degree(u) < floor_deg) {
-      wire_random_edges(as_cluster(u), floor_deg, sampler, rng);
+      wire_random_edges(as_cluster(u), floor_deg, sampler, rng, changed);
     }
   }
+  return changed;
 }
 
 bool Overlay::has(ClusterId v) const { return graph_.has_vertex(as_vertex(v)); }

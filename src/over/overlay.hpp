@@ -65,13 +65,17 @@ class Overlay {
   void initialize(const std::vector<ClusterId>& clusters, Rng& rng);
 
   /// OVER's Add: inserts a new vertex and wires it to up to target_degree()
-  /// distinct sampled clusters. Returns the chosen neighbors.
+  /// distinct sampled clusters. Returns the chosen neighbors: with v, they
+  /// are exactly the vertices whose adjacency changed.
   std::vector<ClusterId> add_vertex(ClusterId v, const Sampler& sampler,
                                     Rng& rng);
 
   /// OVER's Remove: deletes the vertex and repairs ex-neighbors that fell
-  /// under the degree floor with fresh sampled edges.
-  void remove_vertex(ClusterId v, const Sampler& sampler, Rng& rng);
+  /// under the degree floor with fresh sampled edges. Returns the surviving
+  /// vertices whose adjacency changed (the ex-neighbors and the far ends of
+  /// the repair edges; a vertex may be listed more than once).
+  std::vector<ClusterId> remove_vertex(ClusterId v, const Sampler& sampler,
+                                       Rng& rng);
 
   [[nodiscard]] bool has(ClusterId v) const;
   [[nodiscard]] std::size_t degree(ClusterId v) const;
@@ -88,9 +92,10 @@ class Overlay {
 
  private:
   /// Adds sampled edges to v until its degree reaches `goal` (best effort,
-  /// bounded retries; respects the degree cap on both endpoints).
+  /// bounded retries; respects the degree cap on both endpoints). Appends
+  /// the far end of every added edge to `wired`.
   void wire_random_edges(ClusterId v, std::size_t goal, const Sampler& sampler,
-                         Rng& rng);
+                         Rng& rng, std::vector<ClusterId>& wired);
 
   OverParams params_;
   graph::Graph graph_;

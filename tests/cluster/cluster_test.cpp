@@ -63,13 +63,17 @@ TEST_F(ClusterTest, ByzantineCountOfEmptyClusterIsZero) {
   EXPECT_EQ(byzantine_count(c, {NodeId{1}}), 0u);
 }
 
-TEST_F(ClusterTest, ApplySortedEditsMergesInOnePass) {
+TEST_F(ClusterTest, SortedEditsMergeAndAssignInOnePass) {
+  // The sequential bulk update: merge the sorted edits into scratch, then
+  // assign the run back to the cluster's extent.
+  const std::size_t slot = next_slot_;
   Cluster c = make(ClusterId{6});
   for (std::uint64_t v = 0; v < 10; v += 2) c.add_member(NodeId{v});  // 0..8
   std::vector<NodeId> scratch;
   const std::vector<NodeId> removals{NodeId{2}, NodeId{6}};
   const std::vector<NodeId> additions{NodeId{1}, NodeId{9}};
-  c.apply_sorted_edits(removals, additions, scratch);
+  merge_sorted_edits(c.members(), removals, additions, scratch);
+  slab_.assign(slot, scratch);
   const std::vector<NodeId> expect{NodeId{0}, NodeId{1}, NodeId{4},
                                    NodeId{8}, NodeId{9}};
   const auto members = c.members();
@@ -78,18 +82,21 @@ TEST_F(ClusterTest, ApplySortedEditsMergesInOnePass) {
 }
 
 TEST_F(ClusterTest, StaleRemovalListThrowsInsteadOfCorrupting) {
+  const std::size_t slot = next_slot_;
   Cluster c = make(ClusterId{7});
   c.add_member(NodeId{1});
   std::vector<NodeId> scratch;
+  const auto apply = [&](const std::vector<NodeId>& removals) {
+    merge_sorted_edits(c.members(), removals, {}, scratch);
+    slab_.assign(slot, scratch);
+  };
   // More removals than members: the old code's reserve arithmetic wrapped
-  // in release builds; now it must throw.
+  // in release builds; now it must throw before anything is assigned.
   const std::vector<NodeId> too_many{NodeId{1}, NodeId{2}, NodeId{3}};
-  EXPECT_THROW(c.apply_sorted_edits(too_many, {}, scratch),
-               std::invalid_argument);
+  EXPECT_THROW(apply(too_many), std::invalid_argument);
   // A removal naming a non-member (same lengths) must also throw.
   const std::vector<NodeId> stale{NodeId{2}};
-  EXPECT_THROW(c.apply_sorted_edits(stale, {}, scratch),
-               std::invalid_argument);
+  EXPECT_THROW(apply(stale), std::invalid_argument);
   // The membership survived both rejected edits.
   EXPECT_EQ(c.size(), 1u);
   EXPECT_TRUE(c.contains(NodeId{1}));

@@ -87,7 +87,7 @@ TEST(DrainTest, MergeRebalancesOverlayVertexCount) {
     } else if (system.num_nodes() > 40) {
       system.leave(system.state().random_node(rng));
     }
-    ASSERT_EQ(system.state().overlay.num_clusters(),
+    ASSERT_EQ(system.state().overlay().num_clusters(),
               system.num_clusters());
   }
 }

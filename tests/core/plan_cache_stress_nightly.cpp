@@ -1,9 +1,10 @@
 // Nightly large-n stress of the plan-phase machinery (DESIGN.md §11): a
 // million-node deployment churned through structure-preserving batches,
 // verifying after every batch that the incrementally maintained PlanCache
-// (dense tables, neighborhood populations, cluster sizes) still matches a
+// (column order, alias mass over the cluster sizes) still matches a
 // from-scratch rebuild, and that the epoch-stamped batch scratch keeps the
-// state invariants intact at a scale the tier-1 suite never reaches.
+// state invariants (the kept neighborhood populations included) intact at
+// a scale the tier-1 suite never reaches.
 //
 // NOT part of the ctest tier-1 suite: the `_nightly.cpp` suffix escapes the
 // `tests/**/*_test.cpp` glob; CMake builds it as `plan_cache_stress_nightly`
@@ -30,9 +31,10 @@ TEST(PlanCacheStressNightly, MillionNodeChurnKeepsCacheConsistent) {
   ASSERT_TRUE(system.check().ok);
 
   // Size-neutral churn keeps the batches structure-preserving most of the
-  // time, so apply_size_deltas folds thousands of per-slot deltas into the
-  // carried cache between full rebuilds — the exact path the incremental
-  // maintenance must keep exact.
+  // time, so stage 2 folds thousands of per-slot deltas into the
+  // populations and the carried cache rebuilds only its alias table
+  // between full rebuilds — the exact path the maintenance must keep
+  // exact.
   Rng victim_rng{4242};
   constexpr std::size_t kBatches = 12;
   constexpr std::size_t kOps = 5000;

@@ -1,7 +1,7 @@
 // Tests for the persistent, incrementally maintained PlanCache
 // (core/plan_cache.hpp): exact |C|/n sampling per slot through the alias
-// sampler, incremental neighborhood maintenance, and equality of an
-// incrementally maintained cache with a fresh build.
+// sampler, equality of an incrementally maintained cache with a fresh
+// build, and the NowState-kept neighborhood populations the planners read.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ struct Fixture {
       ids.push_back(state.create_cluster());
       grow(ids.back(), size);
     }
-    state.overlay.initialize(ids, rng);
+    state.initialize_overlay(ids, rng);
   }
 
   void grow(ClusterId c, std::size_t count) {
@@ -99,16 +99,13 @@ TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
   PlanCache cache;
   cache.build(fx.state, cache_params());
 
-  // Grow cluster 0 by 12, shrink cluster 3 by 9 — apply the same deltas
-  // the commit would hand the cache, then verify against a fresh rebuild
-  // via the exhaustive consistency check (column order, neighborhoods,
+  // Grow cluster 0 by 12, shrink cluster 3 by 9 — rebuild the alias
+  // table as a structure-preserving commit does, then verify against a
+  // fresh rebuild via the exhaustive consistency check (column order,
   // alias mass per cluster).
   fx.grow(fx.ids[0], 12);
   fx.shrink(fx.ids[3], 9);
-  const std::vector<std::pair<std::size_t, std::int64_t>> deltas = {
-      {fx.state.slot_index(fx.ids[3]), -9},
-      {fx.state.slot_index(fx.ids[0]), 12}};
-  cache.apply_size_deltas(fx.state, deltas);
+  cache.rebuild_alias(fx.state);
   EXPECT_TRUE(cache.consistent_with(fx.state));
   EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
 
@@ -118,7 +115,6 @@ TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
   PlanCache fresh;
   fresh.build(fx.state, cache_params());
   EXPECT_EQ(cache.column_slot, fresh.column_slot);
-  EXPECT_EQ(cache.neighborhood_by_slot, fresh.neighborhood_by_slot);
   EXPECT_EQ(cache.alias_threshold, fresh.alias_threshold);
   EXPECT_EQ(cache.alias_slot, fresh.alias_slot);
   EXPECT_EQ(cache.total_weight, fresh.total_weight);
@@ -131,27 +127,30 @@ TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
 }
 
 TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
+  // The populations the planners charge are kept by NowState, not the
+  // cache: every neighbor of cluster 1 must see its neighborhood
+  // population grow by exactly the delta; non-neighbors must not.
   Fixture fx{{20, 20, 20, 20}};
-  PlanCache cache;
-  cache.build(fx.state, cache_params());
-  // Every neighbor of cluster 1 must see its neighborhood population grow
-  // by exactly the delta; non-neighbors must not.
   const ClusterId changed = fx.ids[1];
   std::vector<std::uint64_t> before;
   for (const ClusterId c : fx.ids) {
-    before.push_back(cache.neighborhood_by_slot[fx.state.slot_index(c)]);
+    EXPECT_EQ(fx.state.neighborhood_population(c),
+              count_neighborhood_population(fx.state, c));
+    before.push_back(fx.state.neighborhood_population(c));
   }
   fx.grow(changed, 7);
-  const std::pair<std::size_t, std::int64_t> delta{
-      fx.state.slot_index(changed), 7};
-  cache.apply_size_deltas(fx.state, {&delta, 1});
   for (std::size_t i = 0; i < fx.ids.size(); ++i) {
-    const bool neighbor = fx.state.overlay.graph().has_edge(
+    const bool neighbor = fx.state.overlay().graph().has_edge(
         changed.value(), fx.ids[i].value());
-    EXPECT_EQ(cache.neighborhood_by_slot[fx.state.slot_index(fx.ids[i])],
+    EXPECT_EQ(fx.state.neighborhood_population(fx.ids[i]),
               before[i] + (neighbor ? 7u : 0u))
         << "cluster " << i;
+    EXPECT_EQ(fx.state.neighborhood_population_at_slot(
+                  fx.state.slot_index(fx.ids[i])),
+              count_neighborhood_population(fx.state, fx.ids[i]));
   }
+  PlanCache cache;
+  cache.build(fx.state, cache_params());
   EXPECT_TRUE(cache.consistent_with(fx.state));
 }
 

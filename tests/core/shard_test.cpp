@@ -366,11 +366,10 @@ TEST(ShardTest, DenseBatchReplaysAreShardCountIndependent) {
 /// Same seed, same batches: one system keeps its PlanCache across batches
 /// (incremental maintenance), the other is forced to rebuild from scratch
 /// before every step. Every message charge the planners make flows
-/// through the cached aggregates (neighborhood populations, walk cost
-/// model, alias sampler), and every partner pick draws from the alias
-/// table, so any maintenance drift — a stale neighbor population, a missed
-/// size delta, a sampler that differs from a fresh build — shows up as
-/// diverging messages or partitions here.
+/// through the walk cost model and the kept neighborhood populations, and
+/// every partner pick draws from the alias table, so any maintenance
+/// drift — a missed size delta, a sampler that differs from a fresh build
+/// — shows up as diverging messages or partitions here.
 void expect_incremental_matches_rebuild(const NowParams& params,
                                         std::uint64_t seed,
                                         std::uint64_t victim_seed,
@@ -586,6 +585,90 @@ TEST(ShardTest, ByzantineCountsMatchRecountAfterEveryBatch) {
     }
     EXPECT_EQ(final_counts[0], final_counts[1]);
   }
+}
+
+/// Clusters whose kept neighborhood population differs from the recount.
+std::size_t population_drifts(const NowState& state) {
+  std::size_t drifts = 0;
+  for (const ClusterId id : state.cluster_ids()) {
+    if (state.neighborhood_population(id) !=
+        count_neighborhood_population(state, id)) {
+      ++drifts;
+    }
+  }
+  return drifts;
+}
+
+TEST(ShardTest, NeighborhoodPopulationsMatchRecountAfterEveryBatch) {
+  // NowState keeps one neighborhood population per cluster slot: stage 2's
+  // apply_size_deltas adds each slot's delta to its neighbors, the
+  // deferred splits and merges go through the sequential mutators and the
+  // overlay calls that recount, and snapshot load rebuilds them. After
+  // every step of an attack that splits, merges and spills, each one must
+  // equal the adjacency recount, for every shard count.
+  std::map<std::uint64_t, std::uint64_t> final_populations[2];
+  constexpr std::size_t kShardAxis[] = {1, 4};
+  for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
+    const std::size_t shards = kShardAxis[v];
+    const std::string where = "shards " + std::to_string(shards);
+    NowParams p;
+    p.max_size = 1 << 12;
+    p.walk_mode = WalkMode::kSampleExact;
+    Metrics metrics;
+    NowSystem system{p, metrics, 311};
+    system.initialize(600, 60, InitTopology::kModeledSparse);
+    ASSERT_EQ(population_drifts(system.state()), 0u) << where;
+    Rng rng{312};
+    std::size_t splits = 0;
+    std::size_t merges = 0;
+    std::size_t spills = 0;
+    for (int step = 0; step < 24; ++step) {
+      // Grow for eight steps, then shrink: splits, then merges.
+      const bool grow = step % 16 < 8;
+      const std::size_t joins = grow ? 48 : 8;
+      const std::size_t leaves = grow ? 8 : 48;
+      const auto victims =
+          attack_victims(system.state(), leaves, /*quota=*/6, rng);
+      const auto [joined, report] = system.step_parallel_mixed(
+          joins, /*byzantine_joins=*/joins / 3, victims, shards);
+      splits += report.splits;
+      merges += report.merges;
+      spills += report.stage2_spills;
+      ASSERT_EQ(population_drifts(system.state()), 0u)
+          << where << " batch " << step;
+    }
+    EXPECT_GT(splits, 0u) << where;
+    EXPECT_GT(merges, 0u) << where;
+    EXPECT_GT(spills, 0u) << where;
+
+    // Snapshot round trip: load rebuilds the populations from the sizes
+    // and the adjacency.
+    const std::string path = testing::TempDir() + "now_populations_" +
+                             std::to_string(shards) + ".snap";
+    system.save(path);
+    Metrics loaded_metrics;
+    NowSystem loaded{p, loaded_metrics, 311};
+    loaded.load(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(population_drifts(loaded.state()), 0u) << where << " load";
+    for (const ClusterId id : system.state().cluster_ids()) {
+      EXPECT_EQ(loaded.state().neighborhood_population(id),
+                system.state().neighborhood_population(id))
+          << where;
+    }
+    for (int step = 0; step < 2; ++step) {
+      const auto victims =
+          attack_victims(loaded.state(), 8, /*quota=*/6, rng);
+      (void)loaded.step_parallel_mixed(8, 4, victims, shards);
+      ASSERT_EQ(population_drifts(loaded.state()), 0u)
+          << where << " batch after load " << step;
+    }
+    for (const ClusterId id : loaded.state().cluster_ids()) {
+      final_populations[v][id.value()] =
+          loaded.state().neighborhood_population(id);
+    }
+  }
+  EXPECT_EQ(final_populations[0], final_populations[1]);
 }
 
 }  // namespace

@@ -287,6 +287,51 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotTest, OverlayVertexThatIsNotAClusterIsRejected) {
+  // The overlay section is the tail of the state payload: the vertex count,
+  // the vertex ids, then each vertex's neighbor list. Rewrite it with one
+  // extra isolated vertex that names no cluster: every edge stays
+  // consistent, so only the vertex check can catch it.
+  Metrics metrics;
+  NowSystem system{snapshot_params(), metrics, 9};
+  system.initialize(300, 30, InitTopology::kModeledSparse);
+  const NowState& state = system.state();
+  SnapshotWriter saved;
+  snapshot_save_state(state, saved);
+  const graph::Graph& g = state.overlay().graph();
+  const std::size_t section_bytes =
+      8 + 16 * g.vertex_order().size() + 16 * g.num_edges();
+  const std::vector<std::uint8_t>& payload = saved.buffer();
+  ASSERT_GT(payload.size(), section_bytes);
+
+  const auto rewrite = [&](bool extra_vertex) {
+    SnapshotWriter w;
+    w.bytes(payload.data(), payload.size() - section_bytes);
+    const ClusterId::value_type bogus = 1ull << 40;
+    w.u64(g.vertex_order().size() + (extra_vertex ? 1 : 0));
+    for (const graph::Vertex v : g.vertex_order()) w.u64(v);
+    if (extra_vertex) w.u64(bogus);
+    for (const graph::Vertex v : g.vertex_order()) {
+      w.u64(g.neighbors(v).size());
+      for (const graph::Vertex n : g.neighbors(v)) w.u64(n);
+    }
+    if (extra_vertex) w.u64(0);
+    return SnapshotReader{w.buffer()};
+  };
+
+  // The unmodified rewrite loads, populations included.
+  NowState same{over::OverParams{}};
+  SnapshotReader same_reader = rewrite(false);
+  snapshot_load_state(same, same_reader);
+  for (const ClusterId id : state.cluster_ids()) {
+    EXPECT_EQ(same.neighborhood_population(id),
+              state.neighborhood_population(id));
+  }
+  NowState bad{over::OverParams{}};
+  SnapshotReader bad_reader = rewrite(true);
+  EXPECT_THROW(snapshot_load_state(bad, bad_reader), SnapshotError);
+}
+
 TEST(SnapshotTest, ParamsThatRunsRecordStillLoad) {
   // read_params rejects what no NowSystem accepts; every value a test,
   // bench or corpus trace records must still round-trip.

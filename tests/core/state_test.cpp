@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -275,6 +278,194 @@ TEST(StateTest, MostByzantineClusterIsTheFirstMaximumWithTies) {
     if (at_top > 1) ++tied_trials;
   }
   EXPECT_GT(tied_trials, 0);  // the first-maximum rule was exercised
+}
+
+/// Two clusters of `size` members each, ids interleaved (even ids in the
+/// first, odd ids in the second) so swaps land at every kind of position.
+struct TwoClusters {
+  NowState state{small_over()};
+  ClusterId a;
+  ClusterId b;
+  explicit TwoClusters(std::size_t size) {
+    a = state.create_cluster();
+    b = state.create_cluster();
+    for (std::size_t i = 0; i < 2 * size; ++i) {
+      const NodeId node = state.fresh_node_id();
+      state.register_node(node);
+      state.add_member(i % 2 == 0 ? a : b, node);
+    }
+  }
+};
+
+bool strictly_sorted(std::span<const NodeId> members) {
+  return std::adjacent_find(members.begin(), members.end(),
+                            [](NodeId l, NodeId r) { return !(l < r); }) ==
+         members.end();
+}
+
+TEST(StateTest, SwapMembersKeepsExtentsSortedAndSizesFixed) {
+  TwoClusters fx{20};
+  NowState& state = fx.state;
+  const std::size_t slot_a = state.slot_index(fx.a);
+  const std::size_t slot_b = state.slot_index(fx.b);
+  const auto draws = [&state] {
+    Rng rng{3};
+    std::vector<ClusterId> out;
+    for (int i = 0; i < 500; ++i) {
+      out.push_back(state.random_cluster_size_biased(rng));
+    }
+    return out;
+  };
+  const std::vector<ClusterId> draws_before = draws();
+  const auto members_of = [&state](ClusterId c) {
+    const auto m = state.cluster_at(c).members();
+    return std::set<NodeId>(m.begin(), m.end());
+  };
+  std::set<NodeId> ref_a = members_of(fx.a);
+  std::set<NodeId> ref_b = members_of(fx.b);
+  Rng rng{4};
+  for (int i = 0; i < 400; ++i) {
+    // Alternate the direction so both extents play both roles.
+    const bool forward = i % 2 == 0;
+    const ClusterId c = forward ? fx.a : fx.b;
+    const ClusterId partner = forward ? fx.b : fx.a;
+    const NodeId x = state.cluster_at(c).random_member(rng);
+    const NodeId y = state.cluster_at(partner).random_member(rng);
+    state.swap_members(x, c, y, partner);
+    std::set<NodeId>& ref_c = forward ? ref_a : ref_b;
+    std::set<NodeId>& ref_p = forward ? ref_b : ref_a;
+    ref_c.erase(x);
+    ref_c.insert(y);
+    ref_p.erase(y);
+    ref_p.insert(x);
+    ASSERT_TRUE(strictly_sorted(state.cluster_at(fx.a).members())) << i;
+    ASSERT_TRUE(strictly_sorted(state.cluster_at(fx.b).members())) << i;
+    ASSERT_EQ(members_of(fx.a), ref_a) << i;
+    ASSERT_EQ(members_of(fx.b), ref_b) << i;
+    ASSERT_EQ(state.home_of(x), partner);
+    ASSERT_EQ(state.home_of(y), c);
+    ASSERT_EQ(state.member_slab().size(slot_a), 20u);
+    ASSERT_EQ(state.member_slab().size(slot_b), 20u);
+  }
+  EXPECT_EQ(state.num_nodes(), 40u);
+  EXPECT_EQ(state.member_slab().live(), 40u);
+  // The Fenwick mirror was never touched: the size-biased draws replay.
+  EXPECT_EQ(draws(), draws_before);
+}
+
+TEST(StateTest, SwapMembersMovesByzantineCountsOnlyForMixedMarks) {
+  for (const bool x_byzantine : {false, true}) {
+    for (const bool y_byzantine : {false, true}) {
+      TwoClusters fx{6};
+      NowState& state = fx.state;
+      // One more Byzantine member on each side, so counts are never zero.
+      state.set_byzantine(state.cluster_at(fx.a).member_at(0), true);
+      state.set_byzantine(state.cluster_at(fx.b).member_at(0), true);
+      const NodeId x = state.cluster_at(fx.a).member_at(3);
+      const NodeId y = state.cluster_at(fx.b).member_at(4);
+      state.set_byzantine(x, x_byzantine);
+      state.set_byzantine(y, y_byzantine);
+      const std::size_t count_a = state.byzantine_count(fx.a);
+      const std::size_t count_b = state.byzantine_count(fx.b);
+      state.swap_members(x, fx.a, y, fx.b);
+      const std::size_t xb = x_byzantine ? 1 : 0;
+      const std::size_t yb = y_byzantine ? 1 : 0;
+      EXPECT_EQ(state.byzantine_count(fx.a), count_a - xb + yb)
+          << x_byzantine << y_byzantine;
+      EXPECT_EQ(state.byzantine_count(fx.b), count_b - yb + xb)
+          << x_byzantine << y_byzantine;
+      for (const ClusterId c : {fx.a, fx.b}) {
+        EXPECT_EQ(state.byzantine_count(c),
+                  cluster::byzantine_count(state.cluster_at(c),
+                                           state.byzantine));
+      }
+    }
+  }
+}
+
+TEST(StateTest, SwapIntoFullExtentDoesNotRelocate) {
+  // cap_for(1) = 9: nine members fill each extent exactly.
+  TwoClusters fx{9};
+  NowState& state = fx.state;
+  const cluster::MemberSlab& slab = state.member_slab();
+  const std::size_t slot_a = state.slot_index(fx.a);
+  const std::size_t slot_b = state.slot_index(fx.b);
+  ASSERT_EQ(slab.extent(slot_a).size, slab.extent(slot_a).cap);
+  ASSERT_EQ(slab.extent(slot_b).size, slab.extent(slot_b).cap);
+  const cluster::MemberSlab::Extent before_a = slab.extent(slot_a);
+  const cluster::MemberSlab::Extent before_b = slab.extent(slot_b);
+  const std::uint64_t tail = slab.tail();
+  const std::uint64_t compactions = slab.compaction_count();
+  // The smallest member of a for the largest of b, and back: each replace
+  // shifts the whole extent.
+  const NodeId x = state.cluster_at(fx.a).member_at(0);
+  const NodeId y = state.cluster_at(fx.b).member_at(8);
+  state.swap_members(x, fx.a, y, fx.b);
+  state.swap_members(y, fx.a, x, fx.b);
+  state.swap_members(state.cluster_at(fx.b).member_at(8), fx.b,
+                     state.cluster_at(fx.a).member_at(0), fx.a);
+  for (const auto& [slot, before] :
+       {std::pair{slot_a, before_a}, std::pair{slot_b, before_b}}) {
+    EXPECT_EQ(slab.extent(slot).first, before.first);
+    EXPECT_EQ(slab.extent(slot).cap, before.cap);
+    EXPECT_EQ(slab.extent(slot).size, before.size);
+    EXPECT_TRUE(strictly_sorted(slab.members(slot)));
+  }
+  EXPECT_EQ(slab.tail(), tail);
+  EXPECT_EQ(slab.compaction_count(), compactions);
+}
+
+/// Clusters whose kept neighborhood population differs from the recount.
+std::size_t population_drifts(const NowState& state) {
+  std::size_t drifts = 0;
+  for (const ClusterId id : state.cluster_ids()) {
+    if (state.neighborhood_population(id) !=
+        count_neighborhood_population(state, id)) {
+      ++drifts;
+    }
+  }
+  return drifts;
+}
+
+TEST(StateTest, NeighborhoodPopulationsMatchRecountAfterEverySequentialOp) {
+  // Sequential joins and leaves change sizes (add/remove/move), swap
+  // members (no size change) and, through splits and merges, rewire the
+  // overlay (add_overlay_vertex / remove_overlay_vertex). After every
+  // operation each kept population must equal the adjacency recount.
+  for (const MergePolicy policy :
+       {MergePolicy::kDissolve, MergePolicy::kAbsorb}) {
+    const char* where =
+        policy == MergePolicy::kDissolve ? "dissolve" : "absorb";
+    NowParams p;
+    p.max_size = 1 << 10;
+    p.merge_policy = policy;
+    Metrics metrics;
+    NowSystem system{p, metrics, 41};
+    system.initialize(240, 20, InitTopology::kModeledSparse);
+    ASSERT_EQ(population_drifts(system.state()), 0u) << where;
+    Rng rng{42};
+    std::size_t splits = 0;
+    std::size_t merges = 0;
+    for (int op = 0; op < 600; ++op) {
+      // Shrink for 150 ops, grow for 300, shrink again: merges, splits,
+      // merges.
+      const bool grow = op >= 150 && op < 450;
+      if (grow) {
+        const auto [node, report] = system.join(op % 7 == 0);
+        splits += report.splits;
+        merges += report.merges;
+      } else {
+        const auto report = system.leave(system.state().random_node(rng));
+        splits += report.splits;
+        merges += report.merges;
+      }
+      ASSERT_EQ(population_drifts(system.state()), 0u)
+          << where << " op " << op;
+    }
+    EXPECT_GT(splits, 0u) << where;
+    EXPECT_GT(merges, 0u) << where;
+    EXPECT_TRUE(system.check().ok) << where;
+  }
 }
 
 }  // namespace

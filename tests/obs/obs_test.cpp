@@ -120,6 +120,25 @@ TEST(RegistryTest, HistogramBucketsAreLog2WithExactBoundaries) {
 
 // ------------------------------------------------------- span recorder
 
+TEST(JsonTest, DeepNestingThrowsParseErrorInsteadOfOverflowing) {
+  // The parser recurses once per array/object level; without the depth
+  // bound, 100,000 levels overflow the stack.
+  constexpr std::size_t kDeep = 100000;
+  std::string arrays(kDeep, '[');
+  EXPECT_THROW((void)json::parse(arrays), json::ParseError);
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)json::parse(objects), json::ParseError);
+  // Closed documents: exactly kMaxDepth levels parse, one more throws.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const json::ValuePtr deepest = json::parse(nested(json::kMaxDepth));
+  ASSERT_TRUE(deepest->is_array());
+  EXPECT_THROW((void)json::parse(nested(json::kMaxDepth + 1)),
+               json::ParseError);
+}
+
 TEST(SpanRecorderTest, RingOverwritesOldestOnWraparound) {
   ObsEnabledScope obs;
   auto& rec = SpanRecorder::instance();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "graph/connectivity.hpp"
 #include "graph/spectral.hpp"
 
@@ -87,6 +91,51 @@ TEST(OverlayTest, RemoveVertexRepairsFloors) {
   EXPECT_GE(overlay.graph().min_degree(), overlay.degree_floor());
   EXPECT_LE(overlay.graph().max_degree(), overlay.degree_cap());
   EXPECT_TRUE(graph::is_connected(overlay.graph()));
+}
+
+TEST(OverlayTest, AddAndRemoveReportEveryChangedAdjacency) {
+  // NowState recounts only the vertices add_vertex / remove_vertex
+  // report, so every vertex whose neighbor list changed must be reported.
+  Overlay overlay{test_params()};
+  Rng rng{7};
+  overlay.initialize(make_clusters(40), rng);
+  auto sampler = uniform_sampler(overlay);
+  const auto adjacency = [&overlay] {
+    std::map<graph::Vertex, std::vector<graph::Vertex>> out;
+    for (const graph::Vertex v : overlay.graph().vertices()) {
+      out[v] = overlay.graph().neighbors(v);
+    }
+    return out;
+  };
+  std::uint64_t next_id = 1000;
+  std::size_t repaired = 0;
+  for (int step = 0; step < 120; ++step) {
+    const auto before = adjacency();
+    std::vector<ClusterId> reported;
+    std::set<graph::Vertex> exempt;  // the added or removed vertex
+    if (step % 3 == 0 || overlay.num_clusters() < 20) {
+      const ClusterId v{next_id++};
+      reported = overlay.add_vertex(v, sampler, rng);
+      reported.push_back(v);
+    } else {
+      const auto verts = overlay.graph().vertices();
+      const ClusterId v{verts[rng.uniform(verts.size())]};
+      reported = overlay.remove_vertex(v, sampler, rng);
+      exempt.insert(v.value());
+      repaired += reported.size() - before.at(v.value()).size();
+    }
+    std::set<graph::Vertex> listed;
+    for (const ClusterId c : reported) listed.insert(c.value());
+    for (const auto& [v, neighbors] : adjacency()) {
+      const auto it = before.find(v);
+      if (it != before.end() && it->second == neighbors) continue;
+      EXPECT_TRUE(listed.count(v) == 1) << "step " << step << " vertex " << v;
+    }
+    for (const graph::Vertex v : listed) {
+      EXPECT_TRUE(overlay.graph().has_vertex(v) && exempt.count(v) == 0);
+    }
+  }
+  EXPECT_GT(repaired, 0u);  // floor repair added edges at least once
 }
 
 class OverlayChurnTest : public ::testing::TestWithParam<std::uint64_t> {};
