@@ -316,9 +316,10 @@ BENCHMARK(BM_HugeBatch)
     ->Arg(10000000);
 
 /// The stage-1 member-edit hot loop in isolation: apply_member_edits over
-/// every cluster of an n-node partition — netting, one-pass merge, in-place
-/// slab try_assign — with slots block-partitioned over `shards` workers,
-/// exactly the shape of the batch commit's stage 1. Edits alternate between
+/// every cluster of an n-node partition — sort and dedup of the net moves,
+/// one-pass merge, in-place slab try_apply_edits — with slots
+/// block-partitioned over `shards` workers, exactly the shape of the batch
+/// commit's stage 1. Edits alternate between
 /// a forward sweep (swap each cluster's 8 lowest members for 8 fresh ids)
 /// and its inverse, so the state is steady, deltas net to zero, and no
 /// sweep ever spills. Time is reported per cluster-edit application; this
@@ -349,37 +350,36 @@ void BM_MemberEditApply(benchmark::State& state) {
       mark(node);
     }
   }
-  std::vector<std::vector<core::NowState::MemberEdit>> forward(k);
-  std::vector<std::vector<core::NowState::MemberEdit>> backward(k);
+  // Per cluster: the lowest members (removed going forward, re-added going
+  // back) and their fresh replacements.
+  std::vector<std::vector<NodeId>> lowest(k);
+  std::vector<std::vector<NodeId>> fresh(k);
   for (std::size_t ci = 0; ci < k; ++ci) {
     for (std::size_t j = 0; j < kEditsPerCluster; ++j) {
-      const NodeId old_id{ci * kClusterSize + j};
       const NodeId new_id{n + ci * kEditsPerCluster + j};
       mark(new_id);
-      forward[ci].push_back({old_id, /*add=*/false});
-      forward[ci].push_back({new_id, /*add=*/true});
-      backward[ci].push_back({new_id, /*add=*/false});
-      backward[ci].push_back({old_id, /*add=*/true});
+      lowest[ci].push_back(NodeId{ci * kClusterSize + j});
+      fresh[ci].push_back(new_id);
     }
   }
   ThreadPool pool{shards > 1 ? shards - 1 : 0};
   std::vector<core::NowState::EditScratch> scratch(shards);
-  const auto sweep =
-      [&](const std::vector<std::vector<core::NowState::MemberEdit>>& edits) {
-        pool.parallel_for(shards, [&](std::size_t s) {
-          const std::size_t begin = s * k / shards;
-          const std::size_t end = (s + 1) * k / shards;
-          for (std::size_t ci = begin; ci < end; ++ci) {
-            benchmark::DoNotOptimize(
-                st.apply_member_edits(slots[ci], edits[ci], scratch[s]));
-          }
-        });
-      };
+  const auto sweep = [&](std::vector<std::vector<NodeId>>& removes,
+                         std::vector<std::vector<NodeId>>& adds) {
+    pool.parallel_for(shards, [&](std::size_t s) {
+      const std::size_t begin = s * k / shards;
+      const std::size_t end = (s + 1) * k / shards;
+      for (std::size_t ci = begin; ci < end; ++ci) {
+        benchmark::DoNotOptimize(st.apply_member_edits(
+            slots[ci], removes[ci], adds[ci], scratch[s]));
+      }
+    });
+  };
   double total_seconds = 0.0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    sweep(forward);
-    sweep(backward);
+    sweep(lowest, fresh);
+    sweep(fresh, lowest);
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

@@ -68,8 +68,6 @@ class PagedIndex {
 
   void clear() { pages_.clear(); }
 
-  [[nodiscard]] T empty_value() const { return empty_; }
-
   /// Requests the cache line holding `key`'s entry (no-op for unset
   /// pages). Batch sweeps issue this one key ahead so the load overlaps
   /// the current element's work.

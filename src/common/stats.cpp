@@ -26,8 +26,6 @@ double RunningStat::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
 }
 
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 double RunningStat::min() const { return count_ == 0 ? 0.0 : min_; }
 
 double RunningStat::max() const { return count_ == 0 ? 0.0 : max_; }

@@ -22,7 +22,6 @@ class RunningStat {
   [[nodiscard]] double mean() const;
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 

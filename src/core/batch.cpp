@@ -5,12 +5,16 @@
 // Every batch splits into a PLAN phase (random decisions + cost accounting
 // against the frozen start-of-step state; runs concurrently, one shard per
 // thread, each operation and each exchange wave on its own derived RNG
-// stream) and a COMMIT phase (a sequential resolve decides every
-// membership move in canonical order, stage 1 applies the per-cluster
-// edits shard-parallel, stage 2 merges size deltas and runs the deferred
-// splits/merges sequentially). Plans never touch NowState non-const —
-// everything they decide is recorded in BatchScratch. Clusters are
-// addressed by slot throughout; the snapshot aggregates live in the
+// stream) and a COMMIT phase. The commit's sequential resolve decides every
+// membership move in canonical order by writing node homes only, and lists
+// each node a swap moved off its snapshot home. Member extents are sorted
+// sets, so the committed membership depends only on each moved node's
+// snapshot slot and final home: stage 1 derives one remove and one add per
+// net move from that list (plus the batch's own joins and leaves) and
+// applies them per cluster shard-parallel; stage 2 merges size deltas and
+// runs the deferred splits/merges sequentially. Plans never touch NowState
+// non-const — everything they decide is recorded in BatchScratch. Clusters
+// are addressed by slot throughout; the snapshot aggregates live in the
 // persistent, incrementally maintained PlanCache (core/plan_cache.hpp).
 #include <algorithm>
 #include <cassert>
@@ -32,14 +36,50 @@ namespace now::core {
 namespace {
 
 /// One exchange swap decided during planning: x (member of the wave's
-/// cluster) trades places with y (member of the partner). Both planned
-/// homes are recorded by cluster slot, so the resolve's fast path (both
-/// endpoints still at their planned homes) needs no paged slot lookups.
+/// cluster) trades places with y (member of the partner). from_slot and
+/// to_slot are x's and y's snapshot homes, by cluster slot, so the resolve
+/// compares homes without paged slot lookups.
 struct PendingSwap {
   NodeId x;
   NodeId y;
   std::uint32_t from_slot = 0;
   std::uint32_t to_slot = 0;
+};
+
+/// A node a committed swap moved off its snapshot home, with that home's
+/// slot. A node is listed again only if it came back to its snapshot home
+/// and left again; every copy yields the same net move.
+struct MovedNode {
+  NodeId node;
+  std::uint32_t snapshot_slot = 0;
+};
+
+/// One stage-1 membership edit, addressed to its cluster slot.
+struct SlotEdit {
+  NodeId node;
+  std::uint32_t slot = 0;
+  bool add = false;
+};
+
+/// One stage-1 apply worker's buffers (capacities persist): the slots of
+/// its block that received edits, in first-seen order; their edited nodes
+/// grouped by slot, each slot's removes, then its adds; apply_member_edits'
+/// merge and spill buffers; and the signed size delta of each slot whose
+/// size changed.
+struct ApplyWorkspace {
+  std::vector<std::uint32_t> slots;
+  std::vector<NodeId> grouped;
+  NowState::EditScratch edits;
+  std::vector<std::pair<std::size_t, std::int64_t>> deltas;
+};
+
+/// A slot's stage-1 grouping cursors (counting sort): the end of its
+/// removes and the end of its adds within ApplyWorkspace::grouped, valid
+/// when `epoch` is the batch's slot epoch.
+struct SlotGroup {
+  std::uint64_t epoch = 0;
+  std::uint32_t removes_end = 0;
+  std::uint32_t adds_end = 0;
 };
 
 /// One scheduled exchange wave (DESIGN.md §7): the cluster in `slot`
@@ -74,14 +114,19 @@ struct WaveWorkspace {
 
 constexpr std::size_t kNoWave = static_cast<std::size_t>(-1);
 
+/// How many elements ahead the swap home chain and stage 1's emit pass
+/// prefetch node_home lines: each element's work is a few loads, too
+/// short to hide one paged lookup's latency.
+constexpr std::size_t kHomePrefetchDistance = 8;
+
 }  // namespace
 
 /// Batch-engine state persisting across time steps (owned by NowSystem
 /// through a unique_ptr; the header only forward-declares it). Everything
 /// here is either a cache whose content survives batches (PlanCache, the
-/// per-cluster wave caches) or scratch whose *capacity* survives (per-slot
-/// edit buffers, per-shard workspaces) so steady-state
-/// batches run allocation-free. Per-slot scratch is epoch-stamped
+/// per-cluster wave caches) or scratch whose *capacity* survives (the
+/// moved list, the stage-1 edit buffers, per-shard workspaces) so
+/// steady-state batches run allocation-free. Per-slot scratch is epoch-stamped
 /// (DESIGN.md §11): `slot_epoch` bumps once per batch, every write stamps
 /// it, and a read whose stamp is stale sees "untouched" — no per-batch
 /// reset sweep is ever needed, for any slot count.
@@ -130,18 +175,21 @@ struct BatchScratch {
   /// cluster's slot is as unique as its id within a batch).
   std::vector<std::uint64_t> candidate_epoch_of_slot;
 
-  // Commit-engine scratch: the per-cluster-slot edit buffers (the resolve
-  // appends, the stage-1 worker that owns the slot empties them) and the
-  // per-shard stage-1 workspaces (merge buffers + signed size-delta
-  // arrays).
-  std::vector<std::vector<NowState::MemberEdit>> edit_scratch;
-  std::vector<NowState::EditScratch> edit_workspaces;
-  std::vector<std::vector<std::pair<std::size_t, std::int64_t>>>
-      delta_scratch;
+  /// The resolve's output: every node a committed swap moved off its
+  /// snapshot home, in resolve order (stage 1 reads it in 1/K chunks).
+  std::vector<MovedNode> moved;
+  /// Stage-1 edit buffers, K x K flattened: emitted[s * K + b] holds what
+  /// emit worker s produced for the slots of block b. Capacities persist
+  /// for the largest K seen.
+  std::vector<std::vector<SlotEdit>> emitted;
+  /// Per-shard stage-1 apply workspaces.
+  std::vector<ApplyWorkspace> apply_workspaces;
+  /// Stage-1 grouping cursors by slot, epoch-stamped (written only by the
+  /// slot's block owner).
+  std::vector<SlotGroup> group_of_slot;
 
   // Commit-phase scratch, kept so steady-state batches stay
   // allocation-free (capacities persist).
-  std::vector<std::size_t> touched;
   std::vector<ClusterId> candidates;
   std::vector<std::pair<std::size_t, std::int64_t>> all_deltas;
   std::vector<std::pair<std::size_t, const std::vector<NodeId>*>> spilled;
@@ -160,7 +208,7 @@ struct BatchScratch {
     wave_epoch_of_slot.resize(grown, 0);
     candidate_epoch_of_slot.resize(grown, 0);
     wave_cache.resize(grown);
-    edit_scratch.resize(grown);
+    group_of_slot.resize(grown);
   }
 
   /// This batch's leavers homed at `slot` (empty when the slot was not
@@ -193,13 +241,6 @@ struct BatchScratch {
     return waves.size() - 1;
   }
 
-  /// Appends one membership edit to `slot`'s list for stage 1; the slot's
-  /// first edit of the batch adds it to `touched`.
-  void record(std::size_t slot, NodeId node, bool add) {
-    if (edit_scratch[slot].empty()) touched.push_back(slot);
-    edit_scratch[slot].push_back(NowState::MemberEdit{node, add});
-  }
-
   /// Resident bytes of the persistent batch-engine state: the PlanCache
   /// plus every scratch buffer, capacities included down one nesting level
   /// — the batch half of NowSystem::footprint_bytes().
@@ -223,21 +264,19 @@ struct BatchScratch {
     for (const auto& l : leavers_by_slot) bytes += vec_bytes(l);
     bytes += vec_bytes(leaver_epoch_of_slot) + vec_bytes(wave_of_slot) +
              vec_bytes(wave_epoch_of_slot) + vec_bytes(candidate_epoch_of_slot);
-    bytes += vec_bytes(edit_scratch);
-    for (const auto& e : edit_scratch) bytes += vec_bytes(e);
-    bytes += vec_bytes(edit_workspaces);
-    for (const NowState::EditScratch& w : edit_workspaces) {
-      bytes += vec_bytes(w.adds) + vec_bytes(w.removes) +
-               vec_bytes(w.merge) + vec_bytes(w.spills);
-      for (const auto& [slot, members] : w.spills) {
+    bytes += vec_bytes(moved) + vec_bytes(emitted);
+    for (const auto& e : emitted) bytes += vec_bytes(e);
+    bytes += vec_bytes(group_of_slot) + vec_bytes(apply_workspaces);
+    for (const ApplyWorkspace& w : apply_workspaces) {
+      bytes += vec_bytes(w.slots) + vec_bytes(w.grouped) +
+               vec_bytes(w.edits.merge) + vec_bytes(w.edits.spills) +
+               vec_bytes(w.deltas);
+      for (const auto& [slot, members] : w.edits.spills) {
         (void)slot;
         bytes += vec_bytes(members);
       }
     }
-    bytes += vec_bytes(delta_scratch);
-    for (const auto& d : delta_scratch) bytes += vec_bytes(d);
-    bytes += vec_bytes(touched) + vec_bytes(candidates) +
-             vec_bytes(all_deltas) + vec_bytes(spilled);
+    bytes += vec_bytes(candidates) + vec_bytes(all_deltas) + vec_bytes(spilled);
     return bytes;
   }
 };
@@ -392,42 +431,129 @@ std::uint64_t plan_leave(const NowState& state, std::uint32_t slot,
 /// resolves at the nodes' *current* homes, so a node an earlier swap of
 /// this batch moved is swapped onward from where it now lives, and a swap
 /// drops only when an endpoint left in this batch or both now share a
-/// cluster. Fast path: both endpoints still live at their planned homes,
-/// so the planned slots apply directly and the paged slot lookups are
-/// skipped — identical outcome to the general rule. The order is
-/// canonical, so the committed state is independent of the shard count.
+/// cluster. The resolve is the home chain only: two home reads and two
+/// home writes per swap. When a committed swap moves an endpoint off its
+/// snapshot home (the swap's planned slot), the endpoint joins `moved`;
+/// stage 1 derives the membership edits from that list and the final
+/// homes. Both endpoints still at their snapshot homes is the fast path,
+/// which skips the replay and conflict checks. The order is canonical, so
+/// the committed state is independent of the shard count.
 /// Kept out of line: inlined into the much larger step_parallel_mixed,
-/// this loop ran ~1.7x slower with GCC 12 (perfbench churn_batch, 4 vCPUs).
+/// the resolve loop ran ~1.7x slower with GCC 12 (perfbench churn_batch,
+/// 4 vCPUs).
 [[gnu::noinline]] void resolve_swaps(NowState& state, BatchScratch& bs,
                                      OpReport& report) {
-  const auto commit_swap = [&](const PendingSwap& swap, std::size_t x_slot,
-                               ClusterId x_home, std::size_t y_slot,
-                               ClusterId y_home) {
-    bs.record(x_slot, swap.x, /*add=*/false);
-    bs.record(y_slot, swap.x, /*add=*/true);
-    bs.record(y_slot, swap.y, /*add=*/false);
-    bs.record(x_slot, swap.y, /*add=*/true);
-    state.commit_home(swap.x, y_home);
-    state.commit_home(swap.y, x_home);
-  };
+  bs.moved.clear();
   for (const PlannedWave& wave : bs.waves) {
-    for (const PendingSwap& swap : bs.wave_cache[wave.slot].swaps) {
+    const std::vector<PendingSwap>& swaps = bs.wave_cache[wave.slot].swaps;
+    for (std::size_t i = 0; i < swaps.size(); ++i) {
+      if (i + kHomePrefetchDistance < swaps.size()) {
+        state.prefetch_home(swaps[i + kHomePrefetchDistance].x);
+        state.prefetch_home(swaps[i + kHomePrefetchDistance].y);
+      }
+      const PendingSwap& swap = swaps[i];
       const ClusterId from_id = state.cluster_at_slot(swap.from_slot).id();
       const ClusterId to_id = state.cluster_at_slot(swap.to_slot).id();
       const ClusterId x_home = state.home_of(swap.x);
       const ClusterId y_home = state.home_of(swap.y);
-      if (x_home == from_id && y_home == to_id) {
-        commit_swap(swap, swap.from_slot, from_id, swap.to_slot, to_id);
-        continue;
+      const bool x_at_snapshot = x_home == from_id;
+      const bool y_at_snapshot = y_home == to_id;
+      if (!x_at_snapshot || !y_at_snapshot) {
+        ++report.resolve_replays;
+        if (!x_home.valid() || !y_home.valid() || x_home == y_home) {
+          ++report.conflicts;
+          continue;
+        }
       }
-      ++report.resolve_replays;
-      if (!x_home.valid() || !y_home.valid() || x_home == y_home) {
-        ++report.conflicts;
-        continue;
-      }
-      commit_swap(swap, state.slot_index(x_home), x_home,
-                  state.slot_index(y_home), y_home);
+      if (x_at_snapshot) bs.moved.push_back(MovedNode{swap.x, swap.from_slot});
+      if (y_at_snapshot) bs.moved.push_back(MovedNode{swap.y, swap.to_slot});
+      state.commit_home(swap.x, y_home);
+      state.commit_home(swap.y, x_home);
     }
+  }
+}
+
+/// Stage 1, pass (a), worker `s` of `shards`: emits the batch's net
+/// membership edits for a 1/K chunk of the ops and of `moved` into
+/// emitted[s * K + block(dest slot)]. A join adds at its target slot and a
+/// leave removes at its home slot. A moved node whose final home is its
+/// snapshot home (it came back) is skipped; otherwise it is removed at its
+/// snapshot slot and added at its final slot. Reads node homes only.
+void emit_member_edits(const NowState& state, BatchScratch& bs, std::size_t s,
+                       std::size_t shards, std::size_t slot_block) {
+  std::vector<SlotEdit>* const out = &bs.emitted[s * shards];
+  for (std::size_t b = 0; b < shards; ++b) out[b].clear();
+  const auto emit = [&](std::uint32_t slot, NodeId node, bool add) {
+    out[slot / slot_block].push_back(SlotEdit{node, slot, add});
+  };
+  const std::size_t ops = bs.op_node.size();
+  for (std::size_t i = s * ops / shards; i < (s + 1) * ops / shards; ++i) {
+    emit(bs.op_slot[i], bs.op_node[i], bs.op_is_join[i] != 0);
+  }
+  const std::size_t begin = s * bs.moved.size() / shards;
+  const std::size_t end = (s + 1) * bs.moved.size() / shards;
+  for (std::size_t j = begin; j < end; ++j) {
+    if (j + kHomePrefetchDistance < end) {
+      state.prefetch_home(bs.moved[j + kHomePrefetchDistance].node);
+    }
+    const MovedNode m = bs.moved[j];
+    const auto final_slot =
+        static_cast<std::uint32_t>(state.slot_index(state.home_of(m.node)));
+    if (final_slot == m.snapshot_slot) continue;
+    emit(m.snapshot_slot, m.node, /*add=*/false);
+    emit(final_slot, m.node, /*add=*/true);
+  }
+}
+
+/// Stage 1, pass (b), owner `b` of `shards`: groups every emit worker's
+/// edits for block b by slot — a counting sort over the slots that
+/// received edits, so its cost follows the edits, not the slot count — and
+/// applies each slot's removes and adds with apply_member_edits. Touches
+/// only block b's slots, extents and counts, and shard b's workspaces.
+void apply_block_edits(NowState& state, BatchScratch& bs, std::size_t b,
+                       std::size_t shards) {
+  ApplyWorkspace& ws = bs.apply_workspaces[b];
+  ws.slots.clear();
+  ws.deltas.clear();
+  // Count each slot's removes and adds.
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (const SlotEdit& e : bs.emitted[s * shards + b]) {
+      SlotGroup& g = bs.group_of_slot[e.slot];
+      if (g.epoch != bs.slot_epoch) {
+        g = SlotGroup{bs.slot_epoch, 0, 0};
+        ws.slots.push_back(e.slot);
+      }
+      ++(e.add ? g.adds_end : g.removes_end);
+    }
+  }
+  // Turn the counts into write cursors: each slot's removes, then its adds.
+  std::uint32_t offset = 0;
+  for (const std::uint32_t slot : ws.slots) {
+    SlotGroup& g = bs.group_of_slot[slot];
+    const std::uint32_t removes = g.removes_end;
+    const std::uint32_t adds = g.adds_end;
+    g.removes_end = offset;
+    g.adds_end = offset + removes;
+    offset += removes + adds;
+  }
+  ws.grouped.resize(offset);
+  for (std::size_t s = 0; s < shards; ++s) {
+    for (const SlotEdit& e : bs.emitted[s * shards + b]) {
+      SlotGroup& g = bs.group_of_slot[e.slot];
+      ws.grouped[(e.add ? g.adds_end : g.removes_end)++] = e.node;
+    }
+  }
+  // The cursors now sit at the ends of their runs.
+  NodeId* const base = ws.grouped.data();
+  std::uint32_t begin = 0;
+  for (const std::uint32_t slot : ws.slots) {
+    const SlotGroup& g = bs.group_of_slot[slot];
+    const std::span<NodeId> removes(base + begin, base + g.removes_end);
+    const std::span<NodeId> adds(base + g.removes_end, base + g.adds_end);
+    const std::int64_t delta =
+        state.apply_member_edits(slot, removes, adds, ws.edits);
+    if (delta != 0) ws.deltas.emplace_back(slot, delta);
+    begin = g.adds_end;
   }
 }
 
@@ -673,17 +799,15 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     OpScope commit(metrics_, "batch.commit");
 
     // Resolve, part 1 (sequential, O(ops)): the batch's operations, in
-    // canonical order — join adds + home writes, leave removes + ground
-    // truth erasure — into per-cluster-slot edit lists. node_home is
-    // written directly as moves resolve, so it doubles as the within-batch
-    // home map for the swaps below. Also collects the restructuring
-    // candidates in first-touch order (swaps are size-neutral, so only op
-    // targets can cross a threshold).
+    // canonical order — join home writes, leave ground-truth erasure and
+    // home clears. node_home is written directly as moves resolve, so it
+    // doubles as the within-batch home map for the swaps below (a leaver's
+    // cleared home makes every later swap with it a conflict). Also
+    // collects the restructuring candidates in first-touch order (swaps
+    // are size-neutral, so only op targets can cross a threshold).
     obs::ScopedSpan resolve_span(obs::Cat::kStep, "step.resolve",
                                  &combined.resolve_ns, batch_id);
-    std::vector<std::size_t>& touched = bs.touched;
     std::vector<ClusterId>& candidates = bs.candidates;
-    touched.clear();
     candidates.clear();  // resized clusters, first touch
     for (std::size_t i = 0; i < total_ops; ++i) {
       if (i + 1 < total_ops) state_.prefetch_home(bs.op_node[i + 1]);
@@ -697,10 +821,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
         candidates.push_back(target);
       }
       if (bs.op_is_join[i] != 0) {
-        bs.record(slot, bs.op_node[i], /*add=*/true);
         state_.commit_home(bs.op_node[i], target);
       } else {
-        bs.record(slot, bs.op_node[i], /*add=*/false);
         state_.set_byzantine(bs.op_node[i], false);
         state_.unregister_node(bs.op_node[i]);
         state_.clear_home(bs.op_node[i]);
@@ -713,26 +835,26 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     obs::ScopedSpan stage1_span(obs::Cat::kStep, "step.stage1",
                                 &combined.stage1_ns, batch_id);
 
-    // Stage 1 (parallel): slots are partitioned into CONTIGUOUS blocks
-    // (one per shard); each worker applies the member edits of the touched
-    // slots in its block and recounts their Byzantine members. Cluster size
-    // changes are accumulated per shard, not written to the Fenwick mirror.
-    // Block (not mod-K) ownership keeps each worker's stores in disjoint
-    // cache-line ranges of the slot table.
+    // Stage 1 (parallel, two passes): slots are partitioned into
+    // CONTIGUOUS blocks, one per shard. (a) Each worker emits the net edits
+    // of a 1/K chunk of the ops and of the moved list into one buffer per
+    // destination block. (b) Each block's owner groups its buffers by slot,
+    // applies every slot's edits in place and recounts its Byzantine
+    // members. Cluster size changes are accumulated per shard, not written
+    // to the Fenwick mirror. Block (not mod-K) ownership keeps each
+    // worker's stores in disjoint cache-line ranges of the slot table.
     const std::size_t slot_block = (slot_count + shards - 1) / shards;
-    if (bs.edit_workspaces.size() < shards) {
-      bs.edit_workspaces.resize(shards);
+    if (bs.emitted.size() < shards * shards) {
+      bs.emitted.resize(shards * shards);
     }
-    if (bs.delta_scratch.size() < shards) bs.delta_scratch.resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) bs.delta_scratch[s].clear();
+    if (bs.apply_workspaces.size() < shards) {
+      bs.apply_workspaces.resize(shards);
+    }
     pool.parallel_for(shards, [&](std::size_t s) {
-      for (const std::size_t slot : touched) {
-        if (slot / slot_block != s) continue;
-        const std::int64_t delta = state_.apply_member_edits(
-            slot, bs.edit_scratch[slot], bs.edit_workspaces[s]);
-        if (delta != 0) bs.delta_scratch[s].emplace_back(slot, delta);
-        bs.edit_scratch[slot].clear();
-      }
+      emit_member_edits(state_, bs, s, shards, slot_block);
+    });
+    pool.parallel_for(shards, [&](std::size_t b) {
+      apply_block_edits(state_, bs, b, shards);
     });
     stage1_span.stop();
     obs::ScopedSpan stage2_span(obs::Cat::kStep, "step.stage2",
@@ -740,14 +862,15 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
 
     // Stage 2 (sequential), part 0: re-home the slots whose merged
     // membership outgrew their slab extent. The spill set is
-    // shard-independent (canonical per-slot edits against deterministic
+    // shard-independent (each slot's net edits against deterministic
     // extent caps), so committing in ascending slot order makes the tail
     // allocation sequence — and the slab layout — canonical. Must precede
     // apply_size_deltas, whose debug contract checks final extent sizes.
     {
       bs.spilled.clear();
       for (std::size_t s = 0; s < shards; ++s) {
-        for (const auto& [slot, members] : bs.edit_workspaces[s].spills) {
+        const NowState::EditScratch& edits = bs.apply_workspaces[s].edits;
+        for (const auto& [slot, members] : edits.spills) {
           bs.spilled.emplace_back(slot, &members);
         }
       }
@@ -758,7 +881,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
         state_.commit_spilled_members(slot, *members);
       }
       for (std::size_t s = 0; s < shards; ++s) {
-        bs.edit_workspaces[s].spills.clear();
+        bs.apply_workspaces[s].edits.spills.clear();
       }
     }
 
@@ -771,8 +894,8 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
         bs.all_deltas;
     all_deltas.clear();
     for (std::size_t s = 0; s < shards; ++s) {
-      all_deltas.insert(all_deltas.end(), bs.delta_scratch[s].begin(),
-                        bs.delta_scratch[s].end());
+      const auto& deltas = bs.apply_workspaces[s].deltas;
+      all_deltas.insert(all_deltas.end(), deltas.begin(), deltas.end());
     }
     // The concatenation order depends on the shard count's slot-block
     // partition; every consumer (Fenwick and population adds) is

@@ -53,6 +53,7 @@
 //     exactly which shared structure each one may touch.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -379,46 +380,43 @@ class NowState {
   // ------------------------------------------------- parallel commit (§7)
   //
   // The sharded batch commit resolves membership moves sequentially
-  // (commit_home / clear_home keep node_home current as it goes), then
-  // stage 1 partitions the touched cluster slots into contiguous blocks and
-  // lets each shard apply its clusters' member edits concurrently — writing
-  // each slot's merged membership in place into its slab extent, or
-  // spilling the slot when the merge outgrew the extent's cap (the spill
-  // set depends only on canonical per-slot edits and extent caps, so it is
-  // shard-independent). These primitives deliberately do NOT maintain the
-  // Fenwick size mirror, the neighborhood populations or the placed-node
-  // count — each shard accumulates
-  // signed size deltas privately and stage 2 first re-homes the spilled
-  // slots (commit_spilled_members, ascending slot order), then folds the
-  // deltas back in sequentially. Between the resolve pass and the matching
+  // (commit_home / clear_home keep node_home current as it goes, and the
+  // resolve lists every node a swap moved off its snapshot home). Stage 1
+  // then derives the net moves — one remove at a moved node's snapshot
+  // slot and one add at its final slot, plus the batch's joins and leaves
+  // — partitions the receiving cluster slots into contiguous blocks and
+  // lets each shard apply its clusters' member edits concurrently —
+  // writing each slot's merged membership in place into its slab extent,
+  // or spilling the slot when the merge outgrew the extent's cap (the
+  // spill set depends only on each slot's net edits and extent caps, so
+  // it is shard-independent). These primitives deliberately do NOT
+  // maintain the Fenwick size mirror, the neighborhood populations or the
+  // placed-node count — each shard accumulates signed size deltas
+  // privately and stage 2 first re-homes the spilled slots
+  // (commit_spilled_members, ascending slot order), then folds the deltas
+  // back in sequentially. Between the resolve pass and the matching
   // apply_size_deltas/adjust_placed_count calls, the size-dependent
-  // samplers (random_cluster_size_biased, num_nodes) and the member extents
-  // are out of sync with node_home and must not be consulted.
-
-  /// One ordered membership edit of a cluster slot: add (true) or remove
-  /// (false) `node`. Per-slot edit sequences are built sequentially in
-  /// canonical batch order, so the member extent's final layout is
-  /// independent of how slots are distributed over shards.
-  struct MemberEdit {
-    NodeId node;
-    bool add = false;
-  };
+  // samplers (random_cluster_size_biased, num_nodes) and the member
+  // extents are out of sync with node_home and must not be consulted.
 
   /// Reusable buffers of one stage-1 worker (capacities persist across
   /// apply_member_edits calls; contents are ignored on entry). `spills`
   /// collects the slots whose merged membership did not fit their extent —
   /// the caller commits them sequentially in stage 2 and clears the list.
   struct EditScratch {
-    std::vector<NodeId> adds;
-    std::vector<NodeId> removes;
     std::vector<NodeId> merge;
     std::vector<std::pair<std::size_t, std::vector<NodeId>>> spills;
   };
 
-  /// Applies `edits` to the cluster in `slot` and returns the net size
-  /// delta. The member extent is sorted, so the final content depends only
-  /// on the net effect, not the edit order: the edits are netted (a node
-  /// added and removed within the batch cancels) and merged directly inside
+  /// Applies one batch's net moves to the cluster in `slot` — removes
+  /// `removes` and adds `adds` — and returns the net size delta. Input
+  /// contract: the two lists are a set of net moves in any order. An entry
+  /// may repeat (a node the batch moved off this slot twice yields the same
+  /// remove twice), but no node is both added and removed (debug-asserted),
+  /// every removed node is a member and no added node is. The member extent
+  /// is sorted, so the final content depends only on that set: both lists
+  /// are sorted in place, adjacent duplicates dropped, and the delta is the
+  /// size difference of the deduplicated lists. They merge directly inside
   /// the slot's extent via MemberSlab::try_apply_edits — one
   /// O(|members| + |edits|) in-place pass touching ONLY that slot's extent
   /// and its Byzantine count, recounted over the merged members (nothing
@@ -430,48 +428,28 @@ class NowState {
   /// instead (the returned delta and the count already account for it).
   /// The Fenwick mirror and placed_count are intentionally left stale (see
   /// above).
-  std::int64_t apply_member_edits(std::size_t slot,
-                                  std::span<const MemberEdit> edits,
+  std::int64_t apply_member_edits(std::size_t slot, std::span<NodeId> removes,
+                                  std::span<NodeId> adds,
                                   EditScratch& scratch) {
     assert(slot < slots_.size() && slots_[slot].has_value());
-    scratch.adds.clear();
-    scratch.removes.clear();
-    for (const MemberEdit& edit : edits) {
-      (edit.add ? scratch.adds : scratch.removes).push_back(edit.node);
+    const auto sort_unique = [](std::span<NodeId> nodes) {
+      std::sort(nodes.begin(), nodes.end());
+      const auto end = std::unique(nodes.begin(), nodes.end());
+      return std::span<const NodeId>(nodes.begin(), end);
+    };
+    const std::span<const NodeId> net_removes = sort_unique(removes);
+    const std::span<const NodeId> net_adds = sort_unique(adds);
+    // No slot receives both an add and a remove of one node.
+    for ([[maybe_unused]] const NodeId node : net_adds) {
+      assert(!std::binary_search(net_removes.begin(), net_removes.end(), node));
     }
-    const std::int64_t delta =
-        static_cast<std::int64_t>(scratch.adds.size()) -
-        static_cast<std::int64_t>(scratch.removes.size());
-    std::sort(scratch.adds.begin(), scratch.adds.end());
-    std::sort(scratch.removes.begin(), scratch.removes.end());
-    // Cancel add/remove pairs of the same node (sorted multiset
-    // difference; per node the net count is -1, 0 or +1).
-    std::size_t a = 0;
-    std::size_t r = 0;
-    std::size_t a_out = 0;
-    std::size_t r_out = 0;
-    while (a < scratch.adds.size() && r < scratch.removes.size()) {
-      if (scratch.adds[a] == scratch.removes[r]) {
-        ++a;
-        ++r;
-      } else if (scratch.adds[a] < scratch.removes[r]) {
-        scratch.adds[a_out++] = scratch.adds[a++];
-      } else {
-        scratch.removes[r_out++] = scratch.removes[r++];
-      }
-    }
-    while (a < scratch.adds.size()) scratch.adds[a_out++] = scratch.adds[a++];
-    while (r < scratch.removes.size()) {
-      scratch.removes[r_out++] = scratch.removes[r++];
-    }
-    scratch.adds.resize(a_out);
-    scratch.removes.resize(r_out);
+    const std::int64_t delta = std::ssize(net_adds) - std::ssize(net_removes);
     std::span<const NodeId> merged;
-    if (slab_->try_apply_edits(slot, scratch.removes, scratch.adds)) {
+    if (slab_->try_apply_edits(slot, net_removes, net_adds)) {
       merged = slab_->members(slot);
     } else {
-      cluster::merge_sorted_edits(slots_[slot]->members(), scratch.removes,
-                                  scratch.adds, scratch.merge);
+      cluster::merge_sorted_edits(slots_[slot]->members(), net_removes,
+                                  net_adds, scratch.merge);
       scratch.spills.emplace_back(slot, scratch.merge);
       merged = scratch.merge;
     }

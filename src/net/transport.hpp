@@ -81,10 +81,6 @@ class InProcTransport final : public Transport {
   void end_round(std::size_t round) override;
   void poll(NodeId id, std::vector<Message>& out) override;
 
-  [[nodiscard]] std::size_t num_endpoints() const {
-    return mailboxes_.size();
-  }
-
  private:
   struct Mailbox {
     NodeId id;

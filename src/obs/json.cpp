@@ -36,12 +36,6 @@ std::uint64_t Value::as_u64() const {
   return static_cast<std::uint64_t>(n);
 }
 
-std::int64_t Value::as_i64() const {
-  const double n = as_number();
-  if (std::floor(n) != n) throw ParseError("JSON number is not an integer");
-  return static_cast<std::int64_t>(n);
-}
-
 namespace {
 
 class Parser {

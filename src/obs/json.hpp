@@ -47,7 +47,6 @@ class Value {
   // std::map keeps object iteration deterministic for the tools' output.
   std::map<std::string, ValuePtr> object;
 
-  [[nodiscard]] bool is_null() const { return kind == Kind::kNull; }
   [[nodiscard]] bool is_object() const { return kind == Kind::kObject; }
   [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
 
@@ -58,7 +57,6 @@ class Value {
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] std::uint64_t as_u64() const;
-  [[nodiscard]] std::int64_t as_i64() const;
 };
 
 /// Deepest array/object nesting parse() accepts. The parser recurses once

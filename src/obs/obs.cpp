@@ -11,10 +11,6 @@ void set_enabled(bool enabled) {
   SpanRecorder::set_enabled(enabled);
 }
 
-bool is_enabled() {
-  return Registry::enabled() || SpanRecorder::enabled();
-}
-
 bool write_obs_file(const std::string& path, std::string_view label) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;

@@ -32,7 +32,6 @@ inline constexpr bool kCompiledIn = NOW_OBS_ENABLED != 0;
 /// Switches the whole subsystem (registry + span recorder) on or off at
 /// runtime. Off (the default) leaves one relaxed flag load per hook.
 void set_enabled(bool enabled);
-[[nodiscard]] bool is_enabled();
 
 /// Writes this process's telemetry as one Perfetto-loadable JSON file:
 /// {"displayTimeUnit","traceEvents":[...],"nowObs":{label,pid,
@@ -98,9 +97,6 @@ class ScopedSpan {
 inline MetricId counter_id(std::string_view name) {
   return Registry::instance().counter(name);
 }
-inline MetricId histogram_id(std::string_view name) {
-  return Registry::instance().histogram(name);
-}
 inline std::uint32_t span_name_id(std::string_view name) {
   return SpanRecorder::instance().intern(name);
 }
@@ -129,7 +125,6 @@ class ScopedSpan {
 };
 
 inline MetricId counter_id(std::string_view) { return kNoMetric; }
-inline MetricId histogram_id(std::string_view) { return kNoMetric; }
 inline std::uint32_t span_name_id(std::string_view) { return 0; }
 inline void counter_add(MetricId, std::uint64_t = 1) {}
 inline void observe(MetricId, std::uint64_t) {}

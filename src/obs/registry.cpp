@@ -155,11 +155,6 @@ std::uint64_t Registry::counter_value(MetricId id) const {
   return sum_cell(meta_[id].cell_base);
 }
 
-std::int64_t Registry::gauge_value(MetricId id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return gauges_[meta_[id].cell_base]->load(std::memory_order_relaxed);
-}
-
 std::array<std::uint64_t, kHistogramBuckets> Registry::histogram_buckets(
     MetricId id) const {
   const std::lock_guard<std::mutex> lock(mu_);

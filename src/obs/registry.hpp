@@ -73,7 +73,6 @@ class Registry {
 
   // ---- read-time merge (sums every thread shard; O(shards)) ----
   [[nodiscard]] std::uint64_t counter_value(MetricId id) const;
-  [[nodiscard]] std::int64_t gauge_value(MetricId id) const;
   [[nodiscard]] std::array<std::uint64_t, kHistogramBuckets>
   histogram_buckets(MetricId id) const;
   /// Total number of observations recorded into a histogram.

@@ -171,14 +171,6 @@ void write_us(std::ostream& out, std::uint64_t ns) {
 
 }  // namespace
 
-void SpanRecorder::write_trace_json(std::ostream& out,
-                                    std::string_view process_label,
-                                    std::uint64_t pid) const {
-  out << "{\"traceEvents\":[";
-  write_trace_events(out, process_label, pid);
-  out << "]}";
-}
-
 void SpanRecorder::write_trace_events(std::ostream& out,
                                       std::string_view process_label,
                                       std::uint64_t pid) const {

@@ -85,14 +85,10 @@ class SpanRecorder {
   /// Drops recorded events; interned names stay valid.
   void reset();
 
-  /// Writes {"traceEvents":[...]} with a process_name metadata record,
+  /// Writes the contents of a Perfetto traceEvents array (no brackets):
+  /// the process_name metadata record followed by one record per event,
   /// "ph":"X" complete events and "ph":"i" instants (ts/dur in
-  /// microseconds). Directly loadable in Perfetto / chrome://tracing.
-  void write_trace_json(std::ostream& out, std::string_view process_label,
-                        std::uint64_t pid) const;
-
-  /// Writes just the contents of the traceEvents array (no brackets):
-  /// the process_name metadata record followed by one record per event.
+  /// microseconds).
   void write_trace_events(std::ostream& out, std::string_view process_label,
                           std::uint64_t pid) const;
 

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -283,14 +285,12 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
 
   // A join burst larger than the extent's headroom: try_assign must refuse
   // and park the slot on the spill list instead of relocating in stage 1.
-  std::vector<NowState::MemberEdit> edits;
-  for (std::uint64_t i = 0; i <= cap; ++i) {
-    edits.push_back({NodeId{1000 + i}, /*add=*/true});
-  }
+  std::vector<NodeId> adds;
+  for (std::uint64_t i = 0; i <= cap; ++i) adds.push_back(NodeId{1000 + i});
   NowState::EditScratch scratch;
   const std::int64_t delta =
-      state.apply_member_edits(slot, edits, scratch);
-  EXPECT_EQ(delta, static_cast<std::int64_t>(edits.size()));
+      state.apply_member_edits(slot, {}, adds, scratch);
+  EXPECT_EQ(delta, static_cast<std::int64_t>(adds.size()));
   ASSERT_EQ(scratch.spills.size(), 1u);
   EXPECT_EQ(scratch.spills[0].first, slot);
   // The extent is untouched until the sequential commit lands the spill.
@@ -299,7 +299,7 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
   state.commit_spilled_members(scratch.spills[0].first,
                                scratch.spills[0].second);
   scratch.spills.clear();
-  EXPECT_EQ(state.cluster_at(c).size(), 4u + edits.size());
+  EXPECT_EQ(state.cluster_at(c).size(), 4u + adds.size());
   EXPECT_TRUE(state.cluster_at(c).contains(NodeId{1000}));
   EXPECT_TRUE(state.cluster_at(c).contains(NodeId{1000 + cap}));
   EXPECT_GT(state.member_slab().extent(slot).cap, cap);
@@ -310,7 +310,46 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
       {slot, delta}};
   state.apply_size_deltas(deltas);
   state.adjust_placed_count(delta);
-  EXPECT_EQ(state.num_nodes(), 4u + edits.size());
+  EXPECT_EQ(state.num_nodes(), 4u + adds.size());
+}
+
+TEST(MemberSlabTest, RepeatedNetMovesApplyLikeTheirSet) {
+  // Stage 1 hands apply_member_edits a set of net moves in which an entry
+  // may repeat (a node moved off a slot, back, and off again yields the
+  // same remove twice). Repeats must not change the extent, the size delta
+  // or the Byzantine count.
+  const auto apply = [](std::vector<NodeId> removes,
+                        std::vector<NodeId> adds) {
+    NowState state{small_over()};
+    const ClusterId c = state.create_cluster();
+    for (std::uint64_t v = 0; v < 10; ++v) {
+      state.register_node(NodeId{v});
+      state.add_member(c, NodeId{v});
+      if (v % 3 == 0) state.set_byzantine(NodeId{v}, true);
+    }
+    state.set_byzantine(NodeId{101}, true);
+    NowState::EditScratch scratch;
+    const std::int64_t delta =
+        state.apply_member_edits(state.slot_index(c), removes, adds, scratch);
+    EXPECT_TRUE(scratch.spills.empty());
+    const std::span<const NodeId> members = state.cluster_at(c).members();
+    std::vector<NodeId> extent(members.begin(), members.end());
+    return std::make_tuple(extent, delta, state.byzantine_count(c));
+  };
+  const auto ids = [](std::initializer_list<std::uint64_t> values) {
+    std::vector<NodeId> nodes;
+    for (const std::uint64_t v : values) nodes.push_back(NodeId{v});
+    return nodes;
+  };
+  const auto [members, delta, byzantine] =
+      apply(ids({2, 5, 2, 7, 5}), ids({101, 100, 101, 102, 101}));
+  EXPECT_EQ(apply(ids({2, 5, 7}), ids({100, 101, 102})),
+            std::make_tuple(members, delta, byzantine));
+  EXPECT_EQ(delta, 0);
+  EXPECT_EQ(members.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+  // Members 0, 3, 6 and 9 are Byzantine and stay; 101 joins them.
+  EXPECT_EQ(byzantine, 5u);
 }
 
 // ----------------------------------------------- system-level slab behavior

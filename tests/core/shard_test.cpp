@@ -9,6 +9,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -499,6 +500,74 @@ std::vector<NodeId> attack_victims(const NowState& state, std::size_t leaves,
   }
   while (victims.size() < leaves) add(state.random_node(rng));
   return victims;
+}
+
+/// Live clusters whose member extent differs from the sorted set of live
+/// nodes that node_home places in them — the net-move commit's contract:
+/// stage 1 derives every extent from the final homes alone.
+std::size_t membership_mismatches(const NowState& state) {
+  std::map<std::uint64_t, std::vector<NodeId>> homed;
+  for (const NodeId node : state.live_nodes()) {
+    homed[state.home_of(node).value()].push_back(node);
+  }
+  std::size_t mismatches = 0;
+  for (const ClusterId id : state.cluster_ids()) {
+    std::vector<NodeId>& expected = homed[id.value()];
+    std::sort(expected.begin(), expected.end());
+    const std::span<const NodeId> members = state.cluster_at(id).members();
+    if (!std::ranges::equal(members, expected)) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(ShardTest, NetMoveCommitMatchesHomeMapAcrossShardCounts) {
+  // Dense attack batches: every cluster gets a wave, so nodes move twice
+  // (replays), come back to their snapshot home, and meet leavers drawn as
+  // swap partners (conflicts). Stage 1 rebuilds each extent from one
+  // remove and one add per net move; whatever the shard count — 3 gives
+  // uneven slot blocks — each extent must equal the home map's set, each
+  // Byzantine count its recount, and the resolve's counters must agree.
+  constexpr std::size_t kShardAxis[] = {1, 2, 3, 4, 8};
+  std::vector<std::unique_ptr<Metrics>> metrics;
+  std::vector<std::unique_ptr<NowSystem>> systems;
+  std::vector<Rng> victim_rngs;
+  for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
+    metrics.push_back(std::make_unique<Metrics>());
+    systems.push_back(
+        std::make_unique<NowSystem>(shard_params(), *metrics.back(), 97));
+    systems.back()->initialize(1000, 100, InitTopology::kModeledSparse);
+    victim_rngs.emplace_back(97 ^ 5);
+  }
+  std::uint64_t replays = 0;
+  std::uint64_t conflicts = 0;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<OpReport> reports(std::size(kShardAxis));
+    for (std::size_t v = 0; v < std::size(kShardAxis); ++v) {
+      const std::size_t shards = kShardAxis[v];
+      NowSystem& system = *systems[v];
+      const std::size_t dense = 2 * system.num_clusters();
+      const std::size_t byz = dense / 8;
+      const auto victims =
+          attack_victims(system.state(), dense, /*quota=*/6, victim_rngs[v]);
+      const auto step = system.step_parallel_mixed(dense, byz, victims, shards);
+      reports[v] = step.second;
+      ASSERT_EQ(membership_mismatches(system.state()), 0u) << shards;
+      ASSERT_EQ(count_drifts(system.state()), 0u) << shards;
+      const OpReport& first = reports[0];
+      EXPECT_EQ(reports[v].resolve_replays, first.resolve_replays) << shards;
+      EXPECT_EQ(reports[v].conflicts, first.conflicts) << shards;
+    }
+    replays += reports[0].resolve_replays;
+    conflicts += reports[0].conflicts;
+  }
+  EXPECT_GT(replays, 0u);
+  EXPECT_GT(conflicts, 0u);
+  for (std::size_t v = 1; v < std::size(kShardAxis); ++v) {
+    EXPECT_EQ(partition_signature(*systems[0]),
+              partition_signature(*systems[v]));
+    EXPECT_TRUE(systems[v]->check().ok);
+  }
 }
 
 TEST(ShardTest, ByzantineCountsMatchRecountAfterEveryBatch) {
