@@ -20,7 +20,6 @@
 #include <string_view>
 
 #include "adversary/adversary.hpp"
-#include "baseline/no_shuffle.hpp"
 #include "sim/scenario.hpp"
 #include "sim/trace.hpp"
 

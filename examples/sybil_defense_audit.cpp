@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "adversary/adversary.hpp"
-#include "baseline/no_shuffle.hpp"
 #include "core/now.hpp"
 #include "sim/table.hpp"
 

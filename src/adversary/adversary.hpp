@@ -136,13 +136,6 @@ class ThrashAdversary final : public Adversary {
   void save_state(core::SnapshotWriter& writer) const override;
   void load_state(core::SnapshotReader& reader) override;
 
-  [[nodiscard]] std::size_t splits_triggered() const {
-    return splits_triggered_;
-  }
-  [[nodiscard]] std::size_t merges_triggered() const {
-    return merges_triggered_;
-  }
-
  private:
   bool draining_ = false;
   std::size_t splits_triggered_ = 0;

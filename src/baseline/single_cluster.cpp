@@ -8,11 +8,6 @@ Cost flat_agreement_cost(std::size_t n) {
   return agreement::phase_king_cost_bound(n);
 }
 
-Cost flat_broadcast_cost(std::size_t n) {
-  const auto nn = static_cast<std::uint64_t>(n);
-  return Cost{nn * (nn - 1), 2};
-}
-
 Cost flat_sampling_cost(std::size_t n) {
   const auto nn = static_cast<std::uint64_t>(n);
   return Cost{nn, nn};

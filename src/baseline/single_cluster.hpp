@@ -19,9 +19,6 @@ namespace now::baseline {
 /// algorithm bound: 3(f+1)+1 rounds of n(n-1) unit messages, f = (n-1)/3).
 [[nodiscard]] Cost flat_agreement_cost(std::size_t n);
 
-/// Cost of one flat broadcast (every node relays once): n(n-1) messages.
-[[nodiscard]] Cost flat_broadcast_cost(std::size_t n);
-
 /// Cost of one uniform sample without structure: contact a random known
 /// node and ask it to forward along a walk of length Theta(n) over an
 /// unstructured network (no expander is maintained), i.e. Theta(n) messages.

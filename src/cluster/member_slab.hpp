@@ -15,12 +15,12 @@
 //     join()/leave() and the stage-2 split/merge/spill paths;
 //   * compact() — triggered by a fixed threshold on (tail_, live_), both of
 //     which evolve through the same canonical mutation sequence everywhere
-//     (try_assign adjusts live_ with a relaxed atomic add, an
+//     (try_apply_edits adjusts live_ with a relaxed atomic add, an
 //     order-independent sum over per-slot deltas that are themselves
 //     shard-independent).
-// The only parallel mutator is try_assign, which writes strictly inside its
-// slot's pre-existing extent (disjoint byte ranges across slots) and never
-// moves anything.
+// The only parallel mutator is try_apply_edits, which writes strictly
+// inside its slot's pre-existing extent (disjoint byte ranges across
+// slots) and never moves anything.
 #pragma once
 
 #include <algorithm>
@@ -165,31 +165,17 @@ class MemberSlab {
 
   // ------------------------------------------------- parallel-safe mutators
 
-  /// In-place assign for the stage-1 workers: succeeds only when `members`
-  /// fits the slot's existing cap (never relocates, never touches tail_ or
-  /// another slot's range — distinct slots write disjoint pool bytes).
-  /// Returns false when the caller must spill the slot to the sequential
-  /// stage-2 commit. live_ is adjusted with a relaxed atomic add: the total
-  /// is an order-independent sum, so it stays deterministic.
-  [[nodiscard]] bool try_assign(std::size_t slot,
-                                std::span<const NodeId> members) {
-    Extent& e = extents_[slot];
-    if (members.size() > e.cap) return false;
-    std::copy(members.begin(), members.end(),
-              pool_.begin() + static_cast<std::ptrdiff_t>(e.first));
-    live_.fetch_add(members.size() - e.size, std::memory_order_relaxed);
-    e.size = static_cast<std::uint32_t>(members.size());
-    return true;
-  }
-
   /// In-place merge of sorted edits for the stage-1 workers: drops
   /// `removals` and splices in `additions` directly inside the slot's
   /// extent, no scratch copy — a forward compaction pass for the removals
   /// (write index trails the read index) followed by a backward merge for
   /// the additions (write index leads the read index), producing exactly
-  /// merge_sorted_edits' output. Same concurrency contract as try_assign
-  /// (in-place only, disjoint slots, relaxed live_ adjust); returns false
-  /// untouched when the merged size outgrows the cap, and throws the same
+  /// merge_sorted_edits' output. It never relocates and never touches
+  /// tail_ or another slot's range, so distinct slots write disjoint pool
+  /// bytes. live_ is adjusted with a relaxed atomic add: the total is an
+  /// order-independent sum, so it stays deterministic. Returns false
+  /// untouched when the merged size outgrows the cap (the caller spills
+  /// the slot to the sequential stage-2 commit), and throws the same
   /// std::invalid_argument as merge_sorted_edits on a stale removal list
   /// BEFORE mutating anything.
   [[nodiscard]] bool try_apply_edits(std::size_t slot,

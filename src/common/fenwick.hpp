@@ -88,15 +88,7 @@ class FenwickTree {
     rebuild();
   }
 
-  /// Sum of values at indices [0, count).
-  [[nodiscard]] std::uint64_t prefix_sum(std::size_t count) const {
-    assert(count <= values_.size());
-    std::uint64_t sum = 0;
-    for (std::size_t i = count; i > 0; i -= i & (~i + 1)) sum += tree_[i];
-    return sum;
-  }
-
-  /// Smallest index i with prefix_sum(i + 1) > target; requires
+  /// Smallest index i whose values [0, i] sum to more than target; requires
   /// target < total(). This maps a uniform draw in [0, total) to an index
   /// with probability proportional to its value.
   [[nodiscard]] std::size_t find(std::uint64_t target) const {

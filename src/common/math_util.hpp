@@ -22,12 +22,6 @@ namespace now {
 [[nodiscard]] std::size_t ceil_log_pow(double n, double exponent,
                                        std::size_t floor_value = 1);
 
-/// Integer ceiling division.
-[[nodiscard]] constexpr std::uint64_t ceil_div(std::uint64_t a,
-                                               std::uint64_t b) {
-  return (a + b - 1) / b;
-}
-
 /// Integer square root (floor).
 [[nodiscard]] std::uint64_t isqrt(std::uint64_t n);
 

@@ -42,11 +42,6 @@ std::span<const Cost> Metrics::operation_samples(OperationId id) const {
   return completed_[id];
 }
 
-std::string_view Metrics::label_of(OperationId id) const {
-  if (id >= label_by_id_.size()) return {};
-  return label_by_id_[id];
-}
-
 std::vector<std::string> Metrics::labels() const {
   std::vector<std::string> result;
   for (OperationId id = 0; id < completed_.size(); ++id) {

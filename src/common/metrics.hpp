@@ -83,8 +83,6 @@ class Metrics {
   [[nodiscard]] std::span<const Cost> operation_samples(OperationId id) const;
   /// Number of completed operations with this id.
   [[nodiscard]] std::size_t operation_count(OperationId id) const;
-  /// Label interned as `id` (empty for kNoOperation / out of range).
-  [[nodiscard]] std::string_view label_of(OperationId id) const;
   /// Labels with at least one completed operation, sorted.
   [[nodiscard]] std::vector<std::string> labels() const;
 

@@ -53,14 +53,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_in(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
-  // range == 0 means the full 64-bit span: any value works.
-  if (range == 0) return static_cast<std::int64_t>(next());
-  return lo + static_cast<std::int64_t>(uniform(range));
-}
-
 double Rng::uniform01() {
   // 53 random mantissa bits -> uniform on [0,1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

@@ -39,9 +39,6 @@ class Rng {
   /// nearly-divisionless rejection method (unbiased).
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_in(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform01();
 

@@ -15,16 +15,10 @@ void RunningStat::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double RunningStat::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double RunningStat::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
 
 double RunningStat::min() const { return count_ == 0 ? 0.0 : min_; }
 

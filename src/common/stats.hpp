@@ -13,22 +13,19 @@
 
 namespace now {
 
-/// Streaming mean/variance/min/max (Welford's algorithm).
+/// Streaming mean/min/max.
 class RunningStat {
  public:
   void add(double x);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const;
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };

@@ -917,7 +917,7 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
       }
     }
     // Batch-boundary compaction opportunity: a batch of pure in-place
-    // try_assigns never touches a sequential slab mutator, so the dead
+    // try_apply_edits never touches a sequential slab mutator, so the dead
     // space left by earlier relocations is bounded here. The trigger is a
     // pure function of (tail, live) — both shard-independent — so the
     // compaction schedule is canonical.

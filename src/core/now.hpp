@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -241,18 +240,6 @@ class NowSystem {
   void invalidate_plan_cache();
 
   // ------------------------------------------- snapshots & traces (§8)
-
-  /// Writes a versioned binary snapshot of the full deterministic state
-  /// (core/snapshot.hpp). Restore-then-continue is bit-identical to never
-  /// having saved, for every shard count.
-  void save(const std::string& path) const;
-
-  /// Restores a snapshot into this system, which must be freshly
-  /// constructed with the same behavior-relevant NowParams (shard counts
-  /// may differ — they never change results). Throws
-  /// core::SnapshotError on malformed files, version or parameter
-  /// mismatch.
-  void load(const std::string& path);
 
   /// Attaches (or detaches, with nullptr) a scenario-event observer. The
   /// sink outlives every subsequent operation until detached.

@@ -11,7 +11,6 @@
 
 #include "core/now.hpp"
 #include "core/state.hpp"
-#include "obs/obs.hpp"
 
 namespace now::core {
 
@@ -446,23 +445,6 @@ void load_system(NowSystem& system, SnapshotReader& r) {
   check_params(system.params_, r);
   snapshot_load_state(system.state_, r);
   system.initialized_ = initialized;
-}
-
-void NowSystem::save(const std::string& path) const {
-  obs::ScopedSpan span(obs::Cat::kSnapshot, "snapshot.save");
-  SnapshotWriter writer;
-  save_system(*this, writer);
-  writer.write_file(path, "NOWSNAP1", kSnapshotFormatVersion);
-}
-
-void NowSystem::load(const std::string& path) {
-  obs::ScopedSpan span(obs::Cat::kSnapshot, "snapshot.load");
-  SnapshotReader reader = SnapshotReader::read_file(
-      path, "NOWSNAP1", kSnapshotFormatVersion, kSnapshotFormatVersion);
-  load_system(*this, reader);
-  if (!reader.at_end()) {
-    throw SnapshotError("trailing bytes after snapshot payload: " + path);
-  }
 }
 
 }  // namespace now::core

@@ -19,11 +19,13 @@
 // Restore-then-continue is bit-identical to the uninterrupted run for
 // every shard count (tests/core/snapshot_test.cpp).
 //
-// File format: an 8-byte magic, a little-endian u32 format version, the
-// payload, and a trailing FNV-1a-64 checksum of the payload. Loading
+// The system snapshot is a payload, never a file of its own: the scenario
+// trace (sim/trace.hpp), the scenario checkpoint and the sharded runtime's
+// NOWSHARD checkpoint (sim/shard_runtime.cpp) embed it. Their files share
+// one frame: an 8-byte magic, a little-endian u32 format version, the
+// payload, and a trailing FNV-1a-64 checksum of the payload. Reading
 // rejects wrong magic, unknown versions, truncation and checksum mismatch
-// by throwing SnapshotError. The same Writer/Reader primitives back the
-// scenario trace files (sim/trace.hpp) and scenario checkpoints.
+// by throwing SnapshotError.
 #pragma once
 
 #include <array>
@@ -46,19 +48,6 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what)
       : std::runtime_error(what) {}
 };
-
-/// Current format version of NowSystem snapshots. Bump rules (DESIGN.md
-/// §9): bump on ANY payload layout change — loaders reject other versions
-/// rather than misparse, and no cross-version migration is attempted. A
-/// bump here also obligates bumping every format that embeds a save_system
-/// payload: sim/trace.hpp's trace and scenario-checkpoint versions and the
-/// sharded runtime's NOWSHARD checkpoint version (sim/shard_runtime.cpp).
-///   v1 — per-cluster member lists, no slab geometry.
-///   v2 — membership slab: explicit tail + per-slot extent (first/cap/size)
-///        + bulk little-endian member block per live slot.
-///   v3 — no trailing PlanCache blob (validity flag, stale alias weights,
-///        dirty-overlay list).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Little-endian binary writer over an in-memory buffer. write_file frames
 /// the buffer with magic + version + checksum.
@@ -229,9 +218,12 @@ template <typename E>
 /// differs from `expected` (snapshots restore into a same-params system).
 void check_params(const NowParams& expected, SnapshotReader& reader);
 
-/// Serializes the complete deterministic state of `system` into `writer`
-/// (the payload NowSystem::save frames into a file). Exposed so scenario
-/// checkpoints can embed a system snapshot in a larger frame.
+/// Serializes the complete deterministic state of `system` into `writer`.
+/// The payload carries no version of its own: ANY change to its layout
+/// bumps every format that embeds it (DESIGN.md §8) — sim/trace.hpp's
+/// trace and scenario-checkpoint versions and the NOWSHARD checkpoint
+/// version (sim/shard_runtime.cpp) — so readers reject old files rather
+/// than misparse them.
 void save_system(const NowSystem& system, SnapshotWriter& writer);
 
 /// Restores `system` (which must be freshly constructed with the same

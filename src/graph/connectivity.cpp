@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <set>
 
 namespace now::graph {
@@ -34,34 +33,6 @@ std::vector<std::vector<Vertex>> connected_components(const Graph& g) {
 bool is_connected(const Graph& g) {
   if (g.num_vertices() == 0) return true;
   return connected_components(g).size() == 1;
-}
-
-std::map<Vertex, std::size_t> bfs_distances(const Graph& g, Vertex source) {
-  std::map<Vertex, std::size_t> dist;
-  dist[source] = 0;
-  std::deque<Vertex> frontier{source};
-  while (!frontier.empty()) {
-    const Vertex v = frontier.front();
-    frontier.pop_front();
-    const std::size_t d = dist.at(v);
-    for (const Vertex u : g.neighbors(v)) {
-      if (dist.emplace(u, d + 1).second) frontier.push_back(u);
-    }
-  }
-  return dist;
-}
-
-std::size_t diameter(const Graph& g) {
-  constexpr auto kInf = std::numeric_limits<std::size_t>::max();
-  const auto verts = g.vertices();
-  if (verts.empty()) return kInf;
-  std::size_t best = 0;
-  for (const Vertex v : verts) {
-    const auto dist = bfs_distances(g, v);
-    if (dist.size() != verts.size()) return kInf;  // disconnected
-    for (const auto& [u, d] : dist) best = std::max(best, d);
-  }
-  return best;
 }
 
 }  // namespace now::graph

@@ -1,12 +1,7 @@
-// Connectivity and distance analysis.
-//
-// Used by (a) the discovery protocol, whose round complexity is the diameter
-// of the honest-adjacent subgraph, and (b) the overlay property checks
-// (Property 1 implies connectivity).
+// Connectivity analysis, used by the overlay property checks (Property 1
+// implies connectivity).
 #pragma once
 
-#include <cstddef>
-#include <map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,13 +14,5 @@ namespace now::graph {
     const Graph& g);
 
 [[nodiscard]] bool is_connected(const Graph& g);
-
-/// BFS distances from `source` (unreachable vertices are absent).
-[[nodiscard]] std::map<Vertex, std::size_t> bfs_distances(const Graph& g,
-                                                          Vertex source);
-
-/// Largest eccentricity over all vertices; SIZE_MAX if disconnected or empty.
-/// O(V * E) — intended for overlay-sized graphs.
-[[nodiscard]] std::size_t diameter(const Graph& g);
 
 }  // namespace now::graph

@@ -61,16 +61,6 @@ bool Graph::add_edge(Vertex u, Vertex v) {
   return true;
 }
 
-bool Graph::remove_edge(Vertex u, Vertex v) {
-  auto u_it = adjacency_.find(u);
-  auto v_it = adjacency_.find(v);
-  if (u_it == adjacency_.end() || v_it == adjacency_.end()) return false;
-  if (!sorted_erase(u_it->second.neighbors, v)) return false;
-  sorted_erase(v_it->second.neighbors, u);
-  --num_edges_;
-  return true;
-}
-
 bool Graph::has_vertex(Vertex v) const { return adjacency_.contains(v); }
 
 bool Graph::has_edge(Vertex u, Vertex v) const {

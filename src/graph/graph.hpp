@@ -33,9 +33,6 @@ class Graph {
   /// Returns false if the edge already exists.
   bool add_edge(Vertex u, Vertex v);
 
-  /// Removes edge {u, v}. Returns false if absent.
-  bool remove_edge(Vertex u, Vertex v);
-
   [[nodiscard]] bool has_vertex(Vertex v) const;
   [[nodiscard]] bool has_edge(Vertex u, Vertex v) const;
 

@@ -24,17 +24,6 @@ CtrwResult ctrw_walk(const Graph& g, Vertex start, double duration, Rng& rng) {
   return result;
 }
 
-Vertex discrete_walk(const Graph& g, Vertex start, std::size_t steps,
-                     Rng& rng) {
-  assert(g.has_vertex(start));
-  Vertex current = start;
-  for (std::size_t i = 0; i < steps; ++i) {
-    assert(g.degree(current) > 0);
-    current = g.random_neighbor(current, rng);
-  }
-  return current;
-}
-
 std::map<Vertex, double> ctrw_distribution(const Graph& g, Vertex start,
                                            double t) {
   assert(g.has_vertex(start));

@@ -32,10 +32,6 @@ struct CtrwResult {
 [[nodiscard]] CtrwResult ctrw_walk(const Graph& g, Vertex start,
                                    double duration, Rng& rng);
 
-/// Endpoint of a simple discrete-time random walk after `steps` steps.
-[[nodiscard]] Vertex discrete_walk(const Graph& g, Vertex start,
-                                   std::size_t steps, Rng& rng);
-
 /// Exact CTRW endpoint distribution at time t from `start`, computed by
 /// uniformization of exp(t * (A - D)). O(V^2 * terms) — small graphs only
 /// (used by tests to verify uniform stationarity and mixing speed).

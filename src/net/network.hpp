@@ -81,7 +81,6 @@ class RoundEngine {
   [[nodiscard]] bool is_live(NodeId id) const {
     return transport_.is_live(id);
   }
-  [[nodiscard]] std::size_t num_actors() const { return slots_.size(); }
   [[nodiscard]] std::size_t round() const { return round_; }
 
   /// Executes one synchronous round: every actor sees messages sent to it

@@ -180,8 +180,6 @@ std::size_t Registry::num_metrics() const {
 
 std::string_view Registry::name_of(MetricId id) const { return meta_[id].name; }
 
-MetricKind Registry::kind_of(MetricId id) const { return meta_[id].kind; }
-
 void Registry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (const auto& shard : shards_) {

@@ -80,7 +80,6 @@ class Registry {
 
   [[nodiscard]] std::size_t num_metrics() const;
   [[nodiscard]] std::string_view name_of(MetricId id) const;
-  [[nodiscard]] MetricKind kind_of(MetricId id) const;
 
   /// Zeroes every recorded value. Interned ids stay valid (call sites
   /// cache them in statics), and existing thread shards are reused.

@@ -44,7 +44,7 @@ SpanRecorder::SpanRecorder()
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::system_clock::now().time_since_epoch())
               .count())) {
-  ring_.resize(capacity_);
+  ring_.resize(kCapacity);
 }
 
 SpanRecorder& SpanRecorder::instance() {
@@ -94,8 +94,8 @@ void SpanRecorder::complete(Cat cat, std::uint32_t name, std::uint64_t ts_ns,
   const std::uint32_t tid = this_thread_id();
   const std::lock_guard<std::mutex> lock(mu_);
   ring_[next_] = Event{ts_ns, dur_ns, arg0, arg1, name, tid, cat, true};
-  next_ = (next_ + 1) % capacity_;
-  if (count_ < capacity_) ++count_;
+  next_ = (next_ + 1) % kCapacity;
+  if (count_ < kCapacity) ++count_;
 }
 
 void SpanRecorder::instant(Cat cat, std::uint32_t name, std::uint64_t arg0,
@@ -105,25 +105,17 @@ void SpanRecorder::instant(Cat cat, std::uint32_t name, std::uint64_t arg0,
   const std::uint32_t tid = this_thread_id();
   const std::lock_guard<std::mutex> lock(mu_);
   ring_[next_] = Event{ts, 0, arg0, arg1, name, tid, cat, false};
-  next_ = (next_ + 1) % capacity_;
-  if (count_ < capacity_) ++count_;
-}
-
-void SpanRecorder::set_capacity(std::size_t events) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = events == 0 ? 1 : events;
-  ring_.assign(capacity_, Event{});
-  next_ = 0;
-  count_ = 0;
+  next_ = (next_ + 1) % kCapacity;
+  if (count_ < kCapacity) ++count_;
 }
 
 std::vector<SpanRecorder::Event> SpanRecorder::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::vector<Event> events;
   events.reserve(count_);
-  const std::size_t start = (next_ + capacity_ - count_) % capacity_;
+  const std::size_t start = (next_ + kCapacity - count_) % kCapacity;
   for (std::size_t i = 0; i < count_; ++i) {
-    events.push_back(ring_[(start + i) % capacity_]);
+    events.push_back(ring_[(start + i) % kCapacity]);
   }
   return events;
 }

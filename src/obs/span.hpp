@@ -48,6 +48,9 @@ class SpanRecorder {
     bool is_span;  // span ("ph":"X") vs instant ("ph":"i")
   };
 
+  /// Ring size in events.
+  static constexpr std::size_t kCapacity = 1u << 16;
+
   static SpanRecorder& instance();
 
   /// Toggles event recording (process-wide). Interning and the clock
@@ -76,9 +79,6 @@ class SpanRecorder {
   void instant(Cat cat, std::uint32_t name, std::uint64_t arg0 = 0,
                std::uint64_t arg1 = 0);
 
-  /// Resizes the ring (dropping recorded events). Default 65536 events.
-  void set_capacity(std::size_t events);
-
   /// Recorded events, oldest first.
   [[nodiscard]] std::vector<Event> snapshot() const;
 
@@ -97,8 +97,6 @@ class SpanRecorder {
 
   static std::uint64_t steady_now_raw();
 
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;
-
   static std::atomic<bool> enabled_;
 
   std::uint64_t epoch_steady_ns_;  // raw steady_clock ns at construction
@@ -106,9 +104,8 @@ class SpanRecorder {
 
   mutable std::mutex mu_;  // guards ring + intern table
   std::vector<Event> ring_;
-  std::size_t capacity_ = kDefaultCapacity;
   std::size_t next_ = 0;   // ring slot for the next event
-  std::size_t count_ = 0;  // events recorded (saturates at capacity_)
+  std::size_t count_ = 0;  // events recorded (saturates at kCapacity)
   std::unordered_map<std::string, std::uint32_t> id_by_name_;
   std::vector<std::string> names_;
 };

@@ -38,11 +38,6 @@ FailureKind classify_failure(double tau, const ScenarioResult& result) {
   return FailureKind::kNone;
 }
 
-bool scenario_failed(const ScenarioConfig& config,
-                     const ScenarioResult& result) {
-  return classify_failure(config.params.tau, result) != FailureKind::kNone;
-}
-
 // ------------------------------------------------------------- coverage
 
 CoverageCell cell_of(const ScenarioConfig& config) {

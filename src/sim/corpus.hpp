@@ -75,10 +75,6 @@ enum class FailureKind : std::uint8_t {
 [[nodiscard]] FailureKind classify_failure(double tau,
                                            const ScenarioResult& result);
 
-/// True when the outcome violates any gated guarantee.
-[[nodiscard]] bool scenario_failed(const ScenarioConfig& config,
-                                   const ScenarioResult& result);
-
 // ---------------------------------------------------------------- coverage
 
 /// The discrete configuration cell of a scenario: every axis the

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <ostream>
 
 #include "common/math_util.hpp"
-#include "sim/table.hpp"
 #include "sim/trace.hpp"
 
 namespace now::sim {
@@ -297,24 +295,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
     recorder->finish(result, config.trace_path);
   }
   return result;
-}
-
-void write_samples_csv(const ScenarioResult& result, std::ostream& os) {
-  Table table({"step", "nodes", "clusters", "min_cluster", "max_cluster",
-               "worst_byz_fraction", "compromised", "overlay_max_degree",
-               "overlay_connected"});
-  for (const auto& s : result.samples) {
-    table.add_row({Table::fmt(std::uint64_t{s.step}),
-                   Table::fmt(std::uint64_t{s.num_nodes}),
-                   Table::fmt(std::uint64_t{s.num_clusters}),
-                   Table::fmt(std::uint64_t{s.min_cluster_size}),
-                   Table::fmt(std::uint64_t{s.max_cluster_size}),
-                   Table::fmt(s.worst_byz_fraction, 4),
-                   Table::fmt(std::uint64_t{s.compromised_clusters}),
-                   Table::fmt(std::uint64_t{s.overlay_max_degree}),
-                   s.overlay_connected ? "1" : "0"});
-  }
-  table.write_csv(os);
 }
 
 }  // namespace now::sim

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "adversary/adversary.hpp"
@@ -161,9 +161,5 @@ void fold_sample(ScenarioResult& result, const InvariantSample& sample);
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config,
                                           adversary::Adversary& adversary,
                                           Metrics& metrics);
-
-/// Writes the invariant samples as CSV (one row per sample) for external
-/// plotting.
-void write_samples_csv(const ScenarioResult& result, std::ostream& os);
 
 }  // namespace now::sim

@@ -18,8 +18,8 @@ namespace now::sim {
 namespace {
 
 constexpr std::string_view kCheckpointMagic = "NOWSHARD";
-/// Embeds a save_system payload, so it follows every snapshot version bump
-/// (v2: snapshot v3).
+/// Embeds a save_system payload, so any change to that payload bumps it
+/// (v2: no PlanCache blob).
 constexpr std::uint32_t kCheckpointVersion = 2;
 
 // Stream tags separating the per-shard seed derivations from each other

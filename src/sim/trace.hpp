@@ -52,7 +52,7 @@ namespace now::sim {
 // kTraceFormatVersion, which the writer always emits; a file of any other
 // version fails with core::SnapshotError at the version check, never as a
 // replay divergence. Traces and scenario checkpoints embed save_system
-// payloads, so both versions follow every snapshot version bump.
+// payloads, so any change to that payload bumps both versions.
 //   trace v1 — header + event/sample/summary frames;
 //   trace v2 — checkpoint frames + footer index;
 //   trace v3 — embedded snapshots are snapshot v3 (no PlanCache blob);

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.hpp"
+#include "core/snapshot.hpp"
 
 namespace now::adversary {
 namespace {
@@ -137,6 +145,95 @@ TEST(AdversaryTest, BudgetHonoredAcrossStrategies) {
           << "strategy " << kind << " step " << t;
     }
   }
+}
+
+/// Sorted (cluster id, size, Byzantine count) triples.
+std::vector<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>>
+signature(const core::NowSystem& system) {
+  std::vector<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>>
+      sig;
+  for (const ClusterId id : system.state().cluster_ids()) {
+    sig.push_back({id.value(),
+                   {system.state().cluster_at(id).size(),
+                    system.state().byzantine_count(id)}});
+  }
+  std::sort(sig.begin(), sig.end());
+  return sig;
+}
+
+/// Drives a strategy until `checkpoint_now` holds, checkpoints the system
+/// and the strategy's own state the way scenario checkpoints do
+/// (save_system, then save_state), restores both into fresh objects and
+/// drives the original and the restored run 60 more steps each: every step
+/// must match.
+void expect_resume_identical(
+    const std::function<std::unique_ptr<Adversary>()>& make,
+    const core::NowParams& params, std::uint64_t seed,
+    const std::function<bool(const Metrics&, std::size_t)>& checkpoint_now) {
+  constexpr std::size_t kMaxBefore = 2000;
+  constexpr std::size_t kAfter = 60;
+  Metrics metrics_a;
+  core::NowSystem a{params, metrics_a, seed};
+  a.initialize(600, 60, core::InitTopology::kModeledSparse);
+  const std::unique_ptr<Adversary> adv_a = make();
+  Rng rng_a{seed + 1};
+  std::size_t t = 0;
+  while (!checkpoint_now(metrics_a, t)) {
+    ASSERT_LT(t, kMaxBefore) << adv_a->name() << ": no checkpoint step";
+    adv_a->step(a, ++t, rng_a);
+  }
+
+  core::SnapshotWriter saved;
+  core::save_system(a, saved);
+  adv_a->save_state(saved);
+  Metrics metrics_b;
+  core::NowSystem b{params, metrics_b, seed};
+  core::SnapshotReader reader{saved.buffer()};
+  core::load_system(b, reader);
+  const std::unique_ptr<Adversary> adv_b = make();
+  adv_b->load_state(reader);
+  EXPECT_TRUE(reader.at_end()) << adv_a->name();
+  Rng rng_b{0};
+  rng_b.restore_state(rng_a.state());
+
+  for (const std::size_t end = t + kAfter; t < end;) {
+    ++t;
+    adv_a->step(a, t, rng_a);
+    adv_b->step(b, t, rng_b);
+    ASSERT_EQ(signature(a), signature(b)) << adv_a->name() << " step " << t;
+  }
+  EXPECT_EQ(rng_a.state(), rng_b.state()) << adv_a->name();
+}
+
+bool at_step_60(const Metrics& /*metrics*/, std::size_t t) { return t == 60; }
+
+TEST(AdversaryCheckpointTest, JoinLeaveResumesTheSameAttack) {
+  expect_resume_identical(
+      [] {
+        return std::make_unique<JoinLeaveAdversary>(
+            0.10, ChurnSchedule::hold(600));
+      },
+      small_params(), 31, at_step_60);
+}
+
+TEST(AdversaryCheckpointTest, ForcedLeaveResumesTheSameTarget) {
+  expect_resume_identical(
+      [] { return std::make_unique<ForcedLeaveAdversary>(0.10); },
+      small_params(), 33, at_step_60);
+}
+
+TEST(AdversaryCheckpointTest, ThrashResumesInTheSamePhase) {
+  // Checkpoint right after the first split: the strategy is then in its
+  // drain phase, which only its saved state remembers.
+  core::NowParams params = small_params();
+  params.k = 6;
+  params.tau = 0.10;
+  params.l = 1.5;
+  expect_resume_identical(
+      [] { return std::make_unique<ThrashAdversary>(0.10); }, params, 35,
+      [](const Metrics& metrics, std::size_t) {
+        return metrics.operation_count(metrics.find("split")) > 0;
+      });
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "adversary/adversary.hpp"
-#include "baseline/no_shuffle.hpp"
 #include "baseline/single_cluster.hpp"
 #include "baseline/static_partition.hpp"
 
@@ -16,28 +15,19 @@ core::NowParams base_params() {
 }
 
 TEST(SingleClusterTest, FlatCostsScaleAsExpected) {
-  // Agreement ~ n^3, broadcast ~ n^2, sampling ~ n.
+  // Agreement ~ n^3, sampling ~ n.
   EXPECT_GT(flat_agreement_cost(200).messages,
             7 * flat_agreement_cost(100).messages);
-  EXPECT_NEAR(static_cast<double>(flat_broadcast_cost(200).messages) /
-                  static_cast<double>(flat_broadcast_cost(100).messages),
-              4.0, 0.1);
   EXPECT_EQ(flat_sampling_cost(500).messages, 500u);
-}
-
-TEST(NoShuffleTest, ParamsOnlyDisableShuffling) {
-  core::NowParams p = base_params();
-  const auto q = no_shuffle_params(p);
-  EXPECT_FALSE(q.shuffle_enabled);
-  EXPECT_EQ(q.max_size, p.max_size);
-  EXPECT_EQ(q.k, p.k);
 }
 
 TEST(NoShuffleTest, JoinLeaveAttackEventuallyCapturesACluster) {
   // Section 3.3's motivating attack: without exchange, cycling Byzantine
   // nodes through join/leave concentrates them in the victim cluster.
+  core::NowParams params = base_params();
+  params.shuffle_enabled = false;
   Metrics metrics;
-  core::NowSystem system{no_shuffle_params(base_params()), metrics, 1};
+  core::NowSystem system{params, metrics, 1};
   system.initialize(300, 45);
   adversary::JoinLeaveAdversary attacker{0.15,
                                          adversary::ChurnSchedule::hold(300),

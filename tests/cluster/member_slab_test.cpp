@@ -1,15 +1,14 @@
 // Tests for the flat extent-based membership arena (cluster/member_slab.hpp,
-// DESIGN.md §9): the extent/cap policy, the parallel-safe try_assign + spill
-// protocol, compaction (trigger, packing, and — the tentpole contract — its
-// UNOBSERVABILITY to everything RNG-visible), slab-geometry bit-identity
-// across shard counts and resolve modes, and snapshot round-trips of a
-// fragmented slab.
+// DESIGN.md §9): the extent/cap policy, the parallel-safe try_apply_edits +
+// spill protocol, compaction (trigger, packing, and — the tentpole
+// contract — its UNOBSERVABILITY to everything RNG-visible), slab-geometry
+// bit-identity across shard counts and resolve modes, and snapshot
+// round-trips of a fragmented slab.
 #include "cluster/member_slab.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <initializer_list>
 #include <memory>
 #include <span>
@@ -19,6 +18,7 @@
 #include <vector>
 
 #include "core/now.hpp"
+#include "core/snapshot.hpp"
 #include "core/state.hpp"
 
 namespace now::core {
@@ -149,33 +149,6 @@ TEST(MemberSlabTest, CapPolicyGrantsHeadroomAndRelocationMovesToTail) {
   EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
 }
 
-TEST(MemberSlabTest, TryAssignFailsBeyondCapAndNeverMoves) {
-  cluster::MemberSlab slab;
-  slab.acquire_slot(0);
-  for (std::uint64_t v = 0; v < 4; ++v) slab.insert_sorted(0, NodeId{v});
-  const auto extent_before = slab.extent(0);
-  const std::uint64_t tail_before = slab.tail();
-
-  // Within cap: succeeds in place.
-  std::vector<NodeId> fits;
-  for (std::uint64_t v = 100; v < 100 + extent_before.cap; ++v) {
-    fits.emplace_back(v);
-  }
-  ASSERT_TRUE(slab.try_assign(0, fits));
-  EXPECT_EQ(slab.extent(0).first, extent_before.first);
-  EXPECT_EQ(slab.extent(0).cap, extent_before.cap);
-  EXPECT_EQ(slab.tail(), tail_before);
-  EXPECT_EQ(slab.live(), fits.size());
-
-  // Beyond cap: refused, nothing changes.
-  std::vector<NodeId> overflow = fits;
-  overflow.emplace_back(999u);
-  ASSERT_FALSE(slab.try_assign(0, overflow));
-  EXPECT_EQ(slab.extent(0).first, extent_before.first);
-  EXPECT_EQ(slab.size(0), fits.size());
-  EXPECT_EQ(slab.tail(), tail_before);
-}
-
 TEST(MemberSlabTest, TryApplyEditsMatchesMergeAndThrowsBeforeMutating) {
   // The in-place stage-1 merge must produce exactly merge_sorted_edits'
   // output, refuse (untouched) when the merged run outgrows the cap, and
@@ -283,8 +256,9 @@ TEST(MemberSlabTest, OversizedMergeSpillsToSequentialCommit) {
   }
   const std::uint64_t cap = state.member_slab().extent(slot).cap;
 
-  // A join burst larger than the extent's headroom: try_assign must refuse
-  // and park the slot on the spill list instead of relocating in stage 1.
+  // A join burst larger than the extent's headroom: try_apply_edits must
+  // refuse and park the slot on the spill list instead of relocating in
+  // stage 1.
   std::vector<NodeId> adds;
   for (std::uint64_t i = 0; i <= cap; ++i) adds.push_back(NodeId{1000 + i});
   NowState::EditScratch scratch;
@@ -463,7 +437,6 @@ TEST(MemberSlabTest, FragmentedSlabSurvivesSnapshotRoundTrip) {
   // snapshot must restore the slab GEOMETRY verbatim (tail + every extent),
   // not just the membership, because compaction triggers and slab positions
   // feed back into behavior.
-  const std::string path = testing::TempDir() + "member_slab_frag.snap";
   Metrics ma;
   NowSystem a{slab_params(), ma, 29};
   a.initialize(600, 60, InitTopology::kModeledSparse);
@@ -487,11 +460,13 @@ TEST(MemberSlabTest, FragmentedSlabSurvivesSnapshotRoundTrip) {
   }
   EXPECT_GT(slab_a.tail(), reserved) << "churn produced no fragmentation";
   const SlabSignature saved = slab_signature(a.state());
-  a.save(path);
+  SnapshotWriter snapshot;
+  save_system(a, snapshot);
 
   Metrics mb;
   NowSystem b{slab_params(), mb, 29};
-  b.load(path);
+  SnapshotReader reader{snapshot.buffer()};
+  load_system(b, reader);
   ASSERT_EQ(slab_signature(b.state()), saved);
   expect_slab_consistent(b.state());
 
@@ -509,7 +484,6 @@ TEST(MemberSlabTest, FragmentedSlabSurvivesSnapshotRoundTrip) {
   }
   ASSERT_EQ(slab_signature(a.state()), slab_signature(b.state()));
   EXPECT_EQ(partition_signature(a), partition_signature(b));
-  std::remove(path.c_str());
 }
 
 }  // namespace

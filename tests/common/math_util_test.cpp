@@ -24,13 +24,6 @@ TEST(MathUtilTest, CeilLogPowRespectsFloor) {
   EXPECT_EQ(ceil_log_pow(1.0, 2.0, 7), 7u);
 }
 
-TEST(MathUtilTest, CeilDiv) {
-  EXPECT_EQ(ceil_div(10, 5), 2u);
-  EXPECT_EQ(ceil_div(11, 5), 3u);
-  EXPECT_EQ(ceil_div(1, 100), 1u);
-  EXPECT_EQ(ceil_div(0, 3), 0u);
-}
-
 TEST(MathUtilTest, IsqrtExactSquares) {
   for (std::uint64_t r = 0; r <= 1000; ++r) EXPECT_EQ(isqrt(r * r), r);
 }

@@ -87,8 +87,6 @@ TEST(MetricsInternTest, FindResolvesInternedLabelsOnly) {
   const OperationId join = m.intern("join");
   EXPECT_EQ(m.find("join"), join);
   EXPECT_EQ(m.find("never-interned"), kNoOperation);
-  EXPECT_EQ(m.label_of(join), "join");
-  EXPECT_EQ(m.label_of(kNoOperation), "");
   // The sentinel routes through every accessor as "no such operation".
   EXPECT_EQ(m.operation_count(kNoOperation), 0u);
   EXPECT_EQ(m.operation_total(kNoOperation), Cost{});

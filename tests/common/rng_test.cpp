@@ -33,15 +33,6 @@ TEST(RngTest, UniformRespectsBound) {
   }
 }
 
-TEST(RngTest, UniformInRange) {
-  Rng rng{9};
-  for (int i = 0; i < 500; ++i) {
-    const auto v = rng.uniform_in(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
-  }
-}
-
 TEST(RngTest, Uniform01InUnitInterval) {
   Rng rng{11};
   for (int i = 0; i < 1000; ++i) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -16,6 +15,7 @@
 
 #include "cluster/cluster.hpp"
 #include "core/now.hpp"
+#include "core/snapshot.hpp"
 
 namespace now::core {
 namespace {
@@ -626,15 +626,12 @@ TEST(ShardTest, ByzantineCountsMatchRecountAfterEveryBatch) {
       ASSERT_EQ(count_drifts(system.state()), 0u) << where << " leave";
 
       // Snapshot round trip: load rebuilds the counts from the members.
-      const std::string path =
-          testing::TempDir() + "now_byzantine_counts_" +
-          std::to_string(static_cast<int>(mode)) + "_" +
-          std::to_string(shards) + ".snap";
-      system.save(path);
+      SnapshotWriter snapshot;
+      save_system(system, snapshot);
       Metrics loaded_metrics;
       NowSystem loaded{p, loaded_metrics, 211};
-      loaded.load(path);
-      std::remove(path.c_str());
+      SnapshotReader reader{snapshot.buffer()};
+      load_system(loaded, reader);
       ASSERT_EQ(count_drifts(loaded.state()), 0u) << where << " load";
       for (const ClusterId id : system.state().cluster_ids()) {
         EXPECT_EQ(loaded.state().byzantine_count(id),
@@ -712,13 +709,12 @@ TEST(ShardTest, NeighborhoodPopulationsMatchRecountAfterEveryBatch) {
 
     // Snapshot round trip: load rebuilds the populations from the sizes
     // and the adjacency.
-    const std::string path = testing::TempDir() + "now_populations_" +
-                             std::to_string(shards) + ".snap";
-    system.save(path);
+    SnapshotWriter snapshot;
+    save_system(system, snapshot);
     Metrics loaded_metrics;
     NowSystem loaded{p, loaded_metrics, 311};
-    loaded.load(path);
-    std::remove(path.c_str());
+    SnapshotReader reader{snapshot.buffer()};
+    load_system(loaded, reader);
     ASSERT_EQ(population_drifts(loaded.state()), 0u) << where << " load";
     for (const ClusterId id : system.state().cluster_ids()) {
       EXPECT_EQ(loaded.state().neighborhood_population(id),

@@ -4,7 +4,8 @@
 // Byzantine ground truth, the system RNG's continued stream and the
 // invariant samples — across shard counts {1, 4, 8}; and malformed files
 // (wrong magic, unknown or previous version, truncation, corruption,
-// parameter drift) must be rejected, never misparsed.
+// parameter drift) must be rejected, never misparsed; and the byte codec
+// under every frame stays little-endian and bounds-checked.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -33,6 +35,23 @@ NowParams snapshot_params() {
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
+}
+
+// A system snapshot is a payload that traces and checkpoints embed; these
+// tests frame it in a file of their own with the same frame.
+constexpr std::string_view kMagic = "NOWTEST1";
+constexpr std::uint32_t kVersion = 3;
+
+void save_file(const NowSystem& system, const std::string& path) {
+  SnapshotWriter writer;
+  save_system(system, writer);
+  writer.write_file(path, kMagic, kVersion);
+}
+
+void load_file(NowSystem& system, const std::string& path) {
+  SnapshotReader reader =
+      SnapshotReader::read_file(path, kMagic, kVersion, kVersion);
+  load_system(system, reader);
 }
 
 /// Sorted (cluster id, size) pairs — the full partition signature.
@@ -106,12 +125,12 @@ TEST(SnapshotTest, RestoreThenContinueIsBitIdenticalAcrossShards) {
       b.initialize(900, 90, InitTopology::kModeledSparse);
       Rng victims_b{seed ^ 0xBEEF};
       for (int t = 0; t < kT1; ++t) drive_batch(b, victims_b, shards);
-      b.save(path);
+      save_file(b, path);
       const auto victim_state = victims_b.state();
 
       Metrics metrics_c;
       NowSystem c{params, metrics_c, seed};
-      c.load(path);
+      load_file(c, path);
       Rng victims_c{0};
       victims_c.restore_state(victim_state);
       expect_identical(a, c, context + " at the checkpoint");
@@ -166,10 +185,10 @@ TEST(SnapshotTest, LegacySequentialOpsContinueIdenticallyToo) {
     a.join(i % 3 == 0);
     b.join(i % 3 == 0);
   }
-  b.save(path);
+  save_file(b, path);
   Metrics mc;
   NowSystem c{params, mc, 123};
-  c.load(path);
+  load_file(c, path);
   for (int i = 0; i < 10; ++i) {
     const auto [na, ra] = a.join(false);
     const auto [nc, rc] = c.join(false);
@@ -209,10 +228,10 @@ TEST(SnapshotTest, LargeKRestoreRebuildsTheCacheTheSaverCarried) {
     a.step_parallel_mixed(4, 1, la, 4);
     b.step_parallel_mixed(4, 1, lb, 4);
   }
-  b.save(path);
+  save_file(b, path);
   Metrics mc;
   NowSystem c{p, mc, 101};
-  c.load(path);
+  load_file(c, path);
   Rng victims_c{0};
   victims_c.restore_state(victims_b.state());
   for (int t = 0; t < 4; ++t) {
@@ -234,7 +253,7 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   Metrics metrics;
   NowSystem system{params, metrics, 9};
   system.initialize(300, 30, InitTopology::kModeledSparse);
-  system.save(path);
+  save_file(system, path);
 
   const auto read_bytes = [&]() {
     std::ifstream in(path, std::ios::binary);
@@ -255,7 +274,7 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
     write_bytes(bytes, bad_path);
     Metrics m;
     NowSystem fresh{params, m, 9};
-    EXPECT_THROW(fresh.load(bad_path), SnapshotError) << what;
+    EXPECT_THROW(load_file(fresh, bad_path), SnapshotError) << what;
     std::remove(bad_path.c_str());
   };
 
@@ -265,7 +284,7 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   expect_rejected(bad, "magic");
   // Unknown (future) format version.
   bad = good;
-  bad[8] = static_cast<char>(kSnapshotFormatVersion + 1);
+  bad[8] = static_cast<char>(kVersion + 1);
   expect_rejected(bad, "version");
   // Truncation, both mid-payload and inside the checksum.
   expect_rejected(good.substr(0, good.size() / 2), "truncated payload");
@@ -280,10 +299,10 @@ TEST(SnapshotTest, RejectsWrongMagicVersionTruncationAndCorruption) {
   drifted.k = params.k + 1;
   Metrics m2;
   NowSystem other{drifted, m2, 9};
-  EXPECT_THROW(other.load(path), SnapshotError);
+  EXPECT_THROW(load_file(other, path), SnapshotError);
 
   // A system that already ran must refuse to load over itself.
-  EXPECT_THROW(system.load(path), SnapshotError);
+  EXPECT_THROW(load_file(system, path), SnapshotError);
   std::remove(path.c_str());
 }
 
@@ -362,34 +381,117 @@ TEST(SnapshotTest, ParamsThatRunsRecordStillLoad) {
 }
 
 TEST(SnapshotTest, PreviousFormatVersionFailsAtTheVersionCheck) {
-  // A v2 file is intact and checksummed but still carries the PlanCache
-  // blob v3 dropped: it must fail as an unsupported version, never reach
-  // the payload parser.
+  // A format that embeds the system snapshot bumps its version whenever the
+  // payload layout changes (DESIGN.md §8). A file one version behind is
+  // intact and checksummed but carries the old layout: it must fail as an
+  // unsupported version, never reach the payload parser.
   const NowParams params = snapshot_params();
-  const std::string path = temp_path("now_v2.snap");
+  const std::string path = temp_path("now_previous.snap");
   Metrics metrics;
   NowSystem system{params, metrics, 9};
   system.initialize(300, 30, InitTopology::kModeledSparse);
-  system.save(path);
-  SnapshotReader current = SnapshotReader::read_file(
-      path, "NOWSNAP1", kSnapshotFormatVersion, kSnapshotFormatVersion);
-  std::vector<std::uint8_t> payload(current.size());
-  current.bytes(payload.data(), payload.size());
-  SnapshotWriter restamped;
-  restamped.bytes(payload.data(), payload.size());
-  restamped.write_file(path, "NOWSNAP1", 2);
+  SnapshotWriter writer;
+  save_system(system, writer);
+  writer.write_file(path, kMagic, kVersion - 1);
 
   Metrics m;
   NowSystem fresh{params, m, 9};
   try {
-    fresh.load(path);
-    ADD_FAILURE() << "a v2 snapshot loaded";
+    load_file(fresh, path);
+    ADD_FAILURE() << "a previous-version file loaded";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version 2"),
+    EXPECT_NE(std::string(e.what()).find("unsupported format version " +
+                                         std::to_string(kVersion - 1)),
               std::string::npos)
         << e.what();
   }
+  EXPECT_FALSE(fresh.initialized());
   std::remove(path.c_str());
+}
+
+// ----------------------------------------------------------- byte codec
+
+TEST(SnapshotCodecTest, PrimitivesRoundTripLittleEndian) {
+  SnapshotWriter w;
+  w.u8(0xAB);
+  w.u32(0x01020304u);
+  w.u64(0x1122334455667788ull);
+  w.i64(-2);
+  w.f64(-0.1);
+  w.str("now");
+  const std::uint8_t blob[3] = {7, 8, 9};
+  w.bytes(blob, sizeof blob);
+
+  // Fixed-width fields are little-endian on every host.
+  const std::vector<std::uint8_t>& buf = w.buffer();
+  ASSERT_GE(buf.size(), 13u);
+  EXPECT_EQ(buf[0], 0xAB);
+  EXPECT_EQ(buf[1], 0x04);
+  EXPECT_EQ(buf[4], 0x01);
+  EXPECT_EQ(buf[5], 0x88);
+  EXPECT_EQ(buf[12], 0x11);
+
+  SnapshotReader r{buf};
+  EXPECT_EQ(r.size(), buf.size());
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x1122334455667788ull);
+  EXPECT_EQ(r.i64(), -2);
+  EXPECT_EQ(r.f64(), -0.1);
+  EXPECT_EQ(r.str(), "now");
+  EXPECT_EQ(r.remaining(), 3u);
+  EXPECT_FALSE(r.at_end());
+  const auto view = r.view(3);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+            (std::vector<std::uint8_t>{7, 8, 9}));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(SnapshotCodecTest, ReadsPastTheEndThrowInsteadOfOverrunning) {
+  const std::vector<std::uint8_t> three = {1, 2, 3};
+  EXPECT_THROW(SnapshotReader{three}.u32(), SnapshotError);
+  EXPECT_THROW(SnapshotReader{three}.u64(), SnapshotError);
+  EXPECT_THROW(SnapshotReader{three}.f64(), SnapshotError);
+  EXPECT_THROW(SnapshotReader{three}.view(4), SnapshotError);
+  std::uint8_t out[4];
+  EXPECT_THROW(SnapshotReader{three}.bytes(out, 4), SnapshotError);
+  EXPECT_THROW(SnapshotReader{std::vector<std::uint8_t>{}}.u8(),
+               SnapshotError);
+
+  // A length or count field larger than what follows fails before any
+  // allocation, however large it claims to be.
+  SnapshotWriter w;
+  w.u64(~std::uint64_t{0});
+  w.u8(0);
+  EXPECT_THROW(SnapshotReader{w.buffer()}.str(), SnapshotError);
+  EXPECT_THROW(SnapshotReader{w.buffer()}.count(8), SnapshotError);
+  EXPECT_THROW(SnapshotReader{w.buffer()}.count(1), SnapshotError);
+
+  // A count that fits is returned as written.
+  SnapshotWriter fits;
+  fits.u64(2);
+  fits.u64(10);
+  fits.u64(20);
+  SnapshotReader r{fits.buffer()};
+  EXPECT_EQ(r.count(8), 2u);
+  EXPECT_EQ(r.remaining(), 16u);
+}
+
+TEST(SnapshotCodecTest, ReadEnumRejectsValuesPastTheLastEnumerator) {
+  SnapshotWriter w;
+  w.u32(static_cast<std::uint32_t>(WalkMode::kSampleExact));
+  w.u32(static_cast<std::uint32_t>(WalkMode::kSampleExact) + 1);
+  SnapshotReader r{w.buffer()};
+  EXPECT_EQ(read_enum(r, WalkMode::kSampleExact, "walk_mode"),
+            WalkMode::kSampleExact);
+  try {
+    (void)read_enum(r, WalkMode::kSampleExact, "walk_mode");
+    ADD_FAILURE() << "an out-of-range enum value was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("walk_mode"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "graph/connectivity.hpp"
 
-#include <limits>
-
 #include <gtest/gtest.h>
 
 namespace now::graph {
@@ -11,20 +9,6 @@ Graph path_graph(std::size_t n) {
   Graph g;
   for (Vertex v = 0; v < n; ++v) g.add_vertex(v);
   for (Vertex v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  return g;
-}
-
-Graph cycle_graph(std::size_t n) {
-  Graph g = path_graph(n);
-  g.add_edge(0, n - 1);
-  return g;
-}
-
-Graph complete_graph(std::size_t n) {
-  Graph g;
-  for (Vertex v = 0; v < n; ++v) g.add_vertex(v);
-  for (Vertex u = 0; u < n; ++u)
-    for (Vertex v = u + 1; v < n; ++v) g.add_edge(u, v);
   return g;
 }
 
@@ -50,32 +34,6 @@ TEST(ConnectivityTest, TwoComponents) {
 
 TEST(ConnectivityTest, EmptyGraphIsConnected) {
   EXPECT_TRUE(is_connected(Graph{}));
-}
-
-TEST(ConnectivityTest, BfsDistancesOnPath) {
-  const Graph g = path_graph(6);
-  const auto dist = bfs_distances(g, 0);
-  for (Vertex v = 0; v < 6; ++v) EXPECT_EQ(dist.at(v), v);
-}
-
-TEST(ConnectivityTest, BfsSkipsUnreachable) {
-  Graph g = path_graph(3);
-  g.add_vertex(50);
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist.size(), 3u);
-  EXPECT_FALSE(dist.contains(50));
-}
-
-TEST(DiameterTest, KnownDiameters) {
-  EXPECT_EQ(diameter(path_graph(7)), 6u);
-  EXPECT_EQ(diameter(cycle_graph(8)), 4u);
-  EXPECT_EQ(diameter(complete_graph(5)), 1u);
-}
-
-TEST(DiameterTest, DisconnectedIsInfinite) {
-  Graph g = path_graph(3);
-  g.add_vertex(50);
-  EXPECT_EQ(diameter(g), std::numeric_limits<std::size_t>::max());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@ TEST(GraphTest, AddRemoveVertex) {
   EXPECT_EQ(g.num_vertices(), 0u);
 }
 
-TEST(GraphTest, AddRemoveEdge) {
+TEST(GraphTest, AddEdgeIsUndirectedAndDeduplicated) {
   Graph g;
   g.add_vertex(1);
   g.add_vertex(2);
@@ -28,9 +29,20 @@ TEST(GraphTest, AddRemoveEdge) {
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_TRUE(g.has_edge(2, 1));
   EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_TRUE(g.remove_edge(2, 1));
-  EXPECT_FALSE(g.remove_edge(1, 2));
-  EXPECT_EQ(g.num_edges(), 0u);
+}
+
+TEST(GraphTest, NeighborsIfPresentIsEmptyForAbsentVertices) {
+  Graph g;
+  for (Vertex v : {1u, 2u, 3u}) g.add_vertex(v);
+  g.add_edge(2, 3);
+  g.add_edge(2, 1);
+  const auto present = g.neighbors_if_present(2);
+  EXPECT_EQ(std::vector<Vertex>(present.begin(), present.end()),
+            (std::vector<Vertex>{1, 3}));
+  EXPECT_TRUE(g.neighbors_if_present(99).empty());
+  g.remove_vertex(2);
+  EXPECT_TRUE(g.neighbors_if_present(2).empty());
+  EXPECT_TRUE(g.neighbors_if_present(1).empty());
 }
 
 TEST(GraphTest, RemoveVertexCleansIncidentEdges) {
@@ -108,8 +120,10 @@ TEST(GraphTest, EdgeCountConsistentUnderRandomOps) {
     const Vertex v = rng.uniform(kVerts);
     if (u == v) continue;
     if (g.has_edge(u, v)) {
-      g.remove_edge(u, v);
-      --edges;
+      // Drop u with every incident edge, then bring it back isolated.
+      edges -= g.degree(u);
+      g.remove_vertex(u);
+      g.add_vertex(u);
     } else {
       g.add_edge(u, v);
       ++edges;

@@ -99,21 +99,6 @@ TEST(CtrwTest, HopsGrowWithDuration) {
   EXPECT_GT(long_hops.mean(), 5 * short_hops.mean());
 }
 
-TEST(DiscreteWalkTest, StaysOnGraph) {
-  const Graph g = irregular_graph();
-  Rng rng{5};
-  for (int i = 0; i < 100; ++i) {
-    const Vertex v = discrete_walk(g, 0, 10, rng);
-    EXPECT_TRUE(g.has_vertex(v));
-  }
-}
-
-TEST(DiscreteWalkTest, ZeroStepsIsIdentity) {
-  const Graph g = irregular_graph();
-  Rng rng{6};
-  EXPECT_EQ(discrete_walk(g, 6, 0, rng), 6u);
-}
-
 TEST(CtrwTest, UniformityHoldsOnRandomGraphs) {
   Rng gen{8};
   std::vector<Vertex> verts;

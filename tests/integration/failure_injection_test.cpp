@@ -140,7 +140,6 @@ TEST(FailureInjectionTest, DepartureMidProtocolDropsCleanly) {
   network.run_rounds(3);
   // Node 3 keeps receiving from node 2 (and itself) only.
   EXPECT_GT(raw[2]->received, before);
-  EXPECT_EQ(network.num_actors(), 2u);
 }
 
 }  // namespace

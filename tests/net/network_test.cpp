@@ -81,7 +81,6 @@ TEST(RoundEngineTest, RemovedActorDropsMail) {
   net.run_round();
   net.run_round();
   EXPECT_FALSE(b_ptr->received().empty());
-  EXPECT_EQ(net.num_actors(), 1u);
 }
 
 TEST(RoundEngineTest, RemoveUnknownActorReturnsFalse) {
@@ -136,6 +135,26 @@ TEST(OutboxTest, MulticastReachesAllDestinations) {
   net.run_rounds(2);
   EXPECT_EQ(s2p->count, 1u);
   EXPECT_EQ(s3p->count, 1u);
+}
+
+TEST(MessageTest, PackedWordsAreLittleEndianAndCostTheirWordCount) {
+  const Payload payload = make_words({0x0102030405060708ull, 0, ~0ull});
+  ASSERT_EQ(payload.size(), 24u);
+  EXPECT_EQ(payload[0], 0x08);
+  EXPECT_EQ(payload[7], 0x01);
+  EXPECT_EQ(word_count(payload), 3u);
+  EXPECT_EQ(word(payload, 0), 0x0102030405060708ull);
+  EXPECT_EQ(word(payload, 1), 0u);
+  EXPECT_EQ(word(payload, 2), ~0ull);
+
+  Message m{NodeId{1}, NodeId{2}, Tag::kApp, payload};
+  EXPECT_EQ(m.cost_units(), 3u);
+  // A started word costs a whole unit; an empty payload still costs one.
+  m.payload.push_back(0);
+  EXPECT_EQ(word_count(m.payload), 3u);
+  EXPECT_EQ(m.cost_units(), 4u);
+  m.payload.clear();
+  EXPECT_EQ(m.cost_units(), 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,7 +70,6 @@ TEST(RegistryTest, InternReturnsStableIdsAndChecksKinds) {
   const MetricId a = reg.counter("test.intern.a");
   EXPECT_EQ(reg.counter("test.intern.a"), a);
   EXPECT_EQ(reg.name_of(a), "test.intern.a");
-  EXPECT_EQ(reg.kind_of(a), MetricKind::kCounter);
   EXPECT_THROW(reg.histogram("test.intern.a"), std::logic_error);
 }
 
@@ -118,6 +118,54 @@ TEST(RegistryTest, HistogramBucketsAreLog2WithExactBoundaries) {
   EXPECT_EQ(reg.histogram_count(id), 10u);
 }
 
+TEST(RegistryTest, WriteJsonCarriesEveryKindAndEscapesNames) {
+  ObsEnabledScope obs;
+  auto& reg = Registry::instance();
+  const MetricId counter = reg.counter("test.json.counter");
+  const MetricId gauge = reg.gauge("test.json.\"gauge\"\\");
+  const MetricId hist = reg.histogram("test.json.hist");
+  reg.add(counter, 41);
+  reg.add(counter, 1);
+  reg.set(gauge, 5);
+  reg.set(gauge, -7);  // last write wins
+  reg.observe(hist, 0);
+  reg.observe(hist, 5);
+  reg.observe(hist, 6);
+  EXPECT_GE(reg.num_metrics(), 3u);
+
+  std::ostringstream out;
+  reg.write_json(out);
+  const json::ValuePtr doc = json::parse(out.str());
+  const auto find = [&](const char* section,
+                        std::string_view name) -> const json::Value* {
+    const json::Value* list = doc->get(section);
+    if (list == nullptr || !list->is_array()) return nullptr;
+    for (const auto& entry : list->array) {
+      if (entry->get("name")->as_string() == name) return entry.get();
+    }
+    return nullptr;
+  };
+
+  const json::Value* c = find("counters", "test.json.counter");
+  ASSERT_NE(c, nullptr) << out.str();
+  EXPECT_EQ(c->get("value")->as_u64(), 42u);
+
+  const json::Value* g = find("gauges", "test.json.\"gauge\"\\");
+  ASSERT_NE(g, nullptr) << out.str();
+  EXPECT_EQ(g->get("value")->as_number(), -7.0);
+
+  const json::Value* h = find("histograms", "test.json.hist");
+  ASSERT_NE(h, nullptr) << out.str();
+  EXPECT_EQ(h->get("count")->as_u64(), 3u);
+  // Only nonempty buckets are listed, as [bucket, count] pairs.
+  const auto& buckets = h->get("buckets")->array;
+  ASSERT_EQ(buckets.size(), 2u) << out.str();
+  EXPECT_EQ(buckets[0]->array[0]->as_u64(), 0u);
+  EXPECT_EQ(buckets[0]->array[1]->as_u64(), 1u);
+  EXPECT_EQ(buckets[1]->array[0]->as_u64(), 3u);
+  EXPECT_EQ(buckets[1]->array[1]->as_u64(), 2u);
+}
+
 // ------------------------------------------------------- span recorder
 
 TEST(JsonTest, DeepNestingThrowsParseErrorInsteadOfOverflowing) {
@@ -139,24 +187,49 @@ TEST(JsonTest, DeepNestingThrowsParseErrorInsteadOfOverflowing) {
                json::ParseError);
 }
 
+TEST(JsonTest, U64AboveTwoToThe53KeepsEveryDigit) {
+  // Digests and packed span args are full 64-bit integers; a double would
+  // round them.
+  const json::ValuePtr doc = json::parse(
+      R"({"digest": 18446744073709551615, "odd": 9007199254740993})");
+  EXPECT_EQ(doc->get("digest")->as_u64(), 18446744073709551615ull);
+  EXPECT_EQ(doc->get("odd")->as_u64(), 9007199254740993ull);
+  EXPECT_EQ(doc->get("missing"), nullptr);
+}
+
+TEST(JsonTest, MalformedInputAndKindMismatchThrowParseError) {
+  EXPECT_THROW((void)json::parse(R"({"a": 1} x)"), json::ParseError);
+  EXPECT_THROW((void)json::parse(R"({"a": )"), json::ParseError);
+  EXPECT_THROW((void)json::parse(R"(["unterminated)"), json::ParseError);
+  EXPECT_THROW((void)json::parse(""), json::ParseError);
+
+  const json::ValuePtr doc = json::parse(R"({"s": "x", "n": -1.5})");
+  EXPECT_EQ(doc->get("s")->as_string(), "x");
+  EXPECT_EQ(doc->get("n")->as_number(), -1.5);
+  EXPECT_THROW((void)doc->get("s")->as_number(), json::ParseError);
+  EXPECT_THROW((void)doc->get("n")->as_string(), json::ParseError);
+  EXPECT_THROW((void)doc->get("n")->as_u64(), json::ParseError);
+}
+
 TEST(SpanRecorderTest, RingOverwritesOldestOnWraparound) {
   ObsEnabledScope obs;
   auto& rec = SpanRecorder::instance();
-  rec.set_capacity(4);
+  rec.reset();
   const std::uint32_t name = rec.intern("test.ring.event");
 
-  for (std::uint64_t i = 0; i < 7; ++i) {
+  constexpr std::uint64_t kOverwritten = 3;
+  for (std::uint64_t i = 0; i < SpanRecorder::kCapacity + kOverwritten; ++i) {
     rec.instant(Cat::kShard, name, /*arg0=*/i);
   }
   const auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest first: events 0..2 were overwritten, 3..6 survive in order.
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].arg0, i + 3);
-    EXPECT_EQ(events[i].name, name);
-    EXPECT_FALSE(events[i].is_span);
+  ASSERT_EQ(events.size(), SpanRecorder::kCapacity);
+  // Oldest first: events 0..2 were overwritten, the rest survive in order.
+  for (std::uint64_t i = 0; i < SpanRecorder::kCapacity; ++i) {
+    ASSERT_EQ(events[i].arg0, i + kOverwritten);
+    ASSERT_EQ(events[i].name, name);
+    ASSERT_FALSE(events[i].is_span);
   }
-  rec.set_capacity(1u << 16);  // restore the default for later tests
+  rec.reset();
 }
 
 TEST(SpanRecorderTest, ScopedSpanWritesOutNsEvenWhenRecordingDisabled) {

@@ -465,7 +465,7 @@ TEST(CorpusTest, ShrinkReducesAFailingScenario) {
   failing.batch_leave_quota = 8;
 
   const ScenarioResult before = run_corpus_scenario(failing, "");
-  ASSERT_TRUE(scenario_failed(failing, before))
+  ASSERT_NE(classify_failure(failing.params.tau, before), FailureKind::kNone)
       << "the seed scenario must fail for the shrink test to mean anything";
 
   std::size_t rounds = 0;
@@ -475,7 +475,7 @@ TEST(CorpusTest, ShrinkReducesAFailingScenario) {
   EXPECT_LE(shrunk.batch_ops, failing.batch_ops);
   EXPECT_LE(shrunk.n0, failing.n0);
   const ScenarioResult after = run_corpus_scenario(shrunk, "");
-  EXPECT_TRUE(scenario_failed(shrunk, after));
+  EXPECT_NE(classify_failure(shrunk.params.tau, after), FailureKind::kNone);
 }
 
 }  // namespace
