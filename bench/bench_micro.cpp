@@ -250,11 +250,13 @@ BENCHMARK(BM_JoinLeaveCycle)
 /// Each pair still issues kBatch node ids that are never reused, and the
 /// id-indexed tables grow with them. So bytes_per_node is measured once,
 /// after a fixed warm-up of kWarmupPairs pairs, and not after the timed
-/// loop, whose length Google Benchmark chooses from the min-time.
+/// loop. The timed loop runs a fixed kTimedPairs pairs: the manual time is
+/// per op, so a min-time budget would run about a thousand pairs.
 struct HugeDeployment {
   static constexpr std::size_t kBatch = 4096;
   static constexpr std::size_t kShards = 8;
   static constexpr int kWarmupPairs = 4;
+  static constexpr int kTimedPairs = 16;
   Metrics metrics;
   core::NowSystem system;
   double bytes_per_node = 0;
@@ -326,6 +328,7 @@ void BM_HugeBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HugeBatch)
     ->UseManualTime()
+    ->Iterations(HugeDeployment::kTimedPairs)
     ->Arg(1000000)
     ->Arg(10000000);
 

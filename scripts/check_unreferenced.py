@@ -37,9 +37,6 @@ ALLOWLIST = {
     "corrupt_home_for_test":
         "invariants_test plants a wrong node home with it to show that I5 "
         "catches broken bookkeeping",
-    "plan_cache_consistent":
-        "the nightly PlanCache stress checks the incrementally kept cache "
-        "against the live state with it",
     "exact_isoperimetric_constant":
         "reference implementation: spectral and isoperimetric tests compare "
         "the Cheeger bounds against the exact constant",

@@ -36,13 +36,9 @@ void ForcedLeaveAdversary::load_state(core::SnapshotReader& reader) {
 
 void ThrashAdversary::save_state(core::SnapshotWriter& writer) const {
   writer.u8(draining_ ? 1 : 0);
-  writer.u64(splits_triggered_);
-  writer.u64(merges_triggered_);
 }
 void ThrashAdversary::load_state(core::SnapshotReader& reader) {
   draining_ = reader.u8() != 0;
-  splits_triggered_ = reader.u64();
-  merges_triggered_ = reader.u64();
 }
 
 void RandomChurnAdversary::do_leave(core::NowSystem& system, Rng& rng) {
@@ -168,12 +164,10 @@ void ThrashAdversary::step(core::NowSystem& system, std::size_t /*t*/,
     const auto& smallest = state.cluster_at(min_id);
     const NodeId victim = smallest.random_member(rng);
     const auto report = system.leave(victim);
-    merges_triggered_ += report.merges;
     if (report.merges > 0) draining_ = false;  // merge fired: flip to growth
   } else {
     const auto [node, report] = system.join(corrupt_next_join(system));
     (void)node;
-    splits_triggered_ += report.splits;
     if (report.splits > 0) draining_ = true;  // split fired: flip to drain
   }
 }

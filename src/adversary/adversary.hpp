@@ -138,8 +138,6 @@ class ThrashAdversary final : public Adversary {
 
  private:
   bool draining_ = false;
-  std::size_t splits_triggered_ = 0;
-  std::size_t merges_triggered_ = 0;
 };
 
 }  // namespace now::adversary

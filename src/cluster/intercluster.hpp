@@ -40,6 +40,36 @@ struct ClusterSendOutcome {
               1};
 }
 
+/// Message units of one exchange swap (Section 3.1 `exchange`) between a
+/// cluster of `c_size` members whose neighborhood holds `c_neighborhood`
+/// nodes and a partner of `p_size` members and `p_neighborhood`: the
+/// x <-> y handoff of both memberships (2 units each way), the 2-unit
+/// composition delta each cluster multicasts to its neighborhood, and the
+/// overlay info each newcomer receives from its new cluster. The notice
+/// and the randNum draw are charged separately. A swap changes no size,
+/// so the sizes before and after it are the same.
+[[nodiscard]] inline std::uint64_t exchange_swap_units(
+    std::uint64_t c_size, std::uint64_t c_neighborhood, std::uint64_t p_size,
+    std::uint64_t p_neighborhood) {
+  const std::uint64_t handoff_units = c_size + p_size;
+  const std::uint64_t c_info = c_size + c_neighborhood;
+  const std::uint64_t p_info = p_size + p_neighborhood;
+  return 2 * handoff_units +
+         2 * (c_size * c_neighborhood + p_size * p_neighborhood) +
+         c_info * c_size + p_info * p_size;
+}
+
+/// Message units of placing a joiner (Algorithm 1) into a cluster of
+/// `dest_size` members whose neighborhood holds `neighborhood` nodes,
+/// reached by a randCl walk of `hops` hops: the members announce the
+/// joiner to the neighborhood (1 unit) and send it its new neighborhood
+/// back along the walk's path. The walk itself is charged separately.
+[[nodiscard]] inline std::uint64_t join_placement_units(
+    std::uint64_t dest_size, std::uint64_t neighborhood, std::uint64_t hops) {
+  return dest_size * neighborhood +
+         (dest_size + neighborhood) * (dest_size + hops);
+}
+
 /// Performs one logical message from `from` to `to`, which has
 /// `from_byzantine` Byzantine members: charges the messages to `metrics`
 /// and reports acceptance under the > 1/2 rule. Inline: the planners send

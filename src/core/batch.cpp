@@ -15,7 +15,7 @@
 // runs the deferred splits/merges sequentially. Plans never touch NowState
 // non-const — everything they decide is recorded in BatchScratch. Clusters
 // are addressed by slot throughout; the snapshot aggregates live in the
-// persistent, incrementally maintained PlanCache (core/plan_cache.hpp).
+// PlanCache (core/plan_cache.hpp), built at every batch start.
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
@@ -123,15 +123,15 @@ constexpr std::size_t kHomePrefetchDistance = 8;
 
 /// Batch-engine state persisting across time steps (owned by NowSystem
 /// through a unique_ptr; the header only forward-declares it). Everything
-/// here is either a cache whose content survives batches (PlanCache, the
-/// per-cluster wave caches) or scratch whose *capacity* survives (the
-/// moved list, the stage-1 edit buffers, per-shard workspaces) so
-/// steady-state batches run allocation-free. Per-slot scratch is epoch-stamped
+/// here is scratch whose *capacity* survives batches (the PlanCache, the
+/// per-cluster wave buffers, the moved list, the stage-1 edit buffers,
+/// per-shard workspaces), so steady-state batches allocate little.
+/// Per-slot scratch is epoch-stamped
 /// (DESIGN.md §11): `slot_epoch` bumps once per batch, every write stamps
 /// it, and a read whose stamp is stale sees "untouched" — no per-batch
 /// reset sweep is ever needed, for any slot count.
 struct BatchScratch {
-  /// Incrementally maintained snapshot aggregates (core/plan_cache.hpp).
+  /// Snapshot aggregates, built at every batch start (core/plan_cache.hpp).
   PlanCache cache;
 
   /// Per-cluster wave buffers, by slot, reused across steps.
@@ -361,19 +361,9 @@ void plan_wave(const NowState& state, const NowParams& params,
       out.swaps.push_back(
           PendingSwap{x, to_members[static_cast<std::size_t>(draw.value)],
                       c_slot, partner_slot});
-      // One coalesced charge: the x <-> y handoff (2 units each way), the
-      // composition deltas to both neighborhoods (2 units) and the overlay
-      // info the newcomers receive — identical units to the sequential
-      // exchange_all, in one Metrics call.
-      const std::uint64_t p_neighborhood =
-          state.neighborhood_population_at_slot(partner_slot);
-      const std::uint64_t handoff_units = c_size + to_size;
-      const std::uint64_t c_info = c_size + c_neighborhood;
-      const std::uint64_t p_info = to_size + p_neighborhood;
-      metrics.add_messages(2 * handoff_units +
-                           2 * (c_size * c_neighborhood +
-                                to_size * p_neighborhood) +
-                           c_info * c_size + p_info * to_size);
+      metrics.add_messages(cluster::exchange_swap_units(
+          c_size, c_neighborhood, to_size,
+          state.neighborhood_population_at_slot(partner_slot)));
       chain_rounds += 2;
     }
     rounds_max = std::max(rounds_max, chain_rounds);
@@ -397,13 +387,9 @@ std::uint32_t plan_join(const NowState& state, const NowParams& params,
       plan_rand_cl(state, params, contact, cache, metrics, rng);
   std::uint64_t rounds = walk.rounds;
 
-  const std::uint64_t dest_size = state.member_slab().size(walk.slot);
-  const std::uint64_t neighborhood =
-      state.neighborhood_population_at_slot(walk.slot);
-  metrics.add_messages(dest_size * neighborhood);  // announce x, 1 unit
-  const std::uint64_t info_units = dest_size + neighborhood;
-  metrics.add_messages(info_units *
-                       (dest_size + static_cast<std::uint64_t>(walk.hops)));
+  metrics.add_messages(cluster::join_placement_units(
+      state.member_slab().size(walk.slot),
+      state.neighborhood_population_at_slot(walk.slot), walk.hops));
   rounds += 2;
 
   rounds_out = rounds;
@@ -586,14 +572,8 @@ NowSystem::NowSystem(const NowParams& params, Metrics& metrics,
 
 NowSystem::~NowSystem() = default;
 
-void NowSystem::invalidate_plan_cache() { batch_->cache.invalidate(); }
-
 std::size_t NowSystem::footprint_bytes() const {
   return state_.footprint_bytes() + batch_->footprint_bytes();
-}
-
-bool NowSystem::plan_cache_consistent() const {
-  return !batch_->cache.valid || batch_->cache.consistent_with(state_);
 }
 
 ThreadPool& NowSystem::pool_for(std::size_t shards) {
@@ -634,17 +614,9 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     joined.push_back(node);
   }
 
-  // --- Snapshot aggregates: the persistent PlanCache is rebuilt only after
-  // structural changes (splits/merges, sequential join()/leave());
-  // otherwise the previous commits' incremental maintenance kept it exact
-  // and only the walk cost model refreshes.
+  // --- Snapshot aggregates over the start-of-step state.
   PlanCache& cache = bs.cache;
-  if (!cache.valid) {
-    cache.build(state_, params_);
-  } else {
-    cache.refresh(state_, params_);
-  }
-  assert(cache.consistent_with(state_));
+  cache.build(state_, params_);
 
   // --- Partition: leaves by home-cluster slot, joins (homeless until their
   // walk lands) round-robin. The assignment balances work; it can never
@@ -924,17 +896,6 @@ std::pair<std::vector<NodeId>, OpReport> NowSystem::step_parallel_mixed(
     state_.maybe_compact_slab();
     metrics_.add_rounds(commit_rounds);
     combined.commit_cost = commit.cost();
-
-    // Cache maintenance: a structure-preserving batch rebuilds the
-    // persistent PlanCache's alias table over the sizes stage 2 just
-    // committed; any restructuring invalidates it and the next batch
-    // rebuilds.
-    if (combined.splits > 0 || combined.merges > 0 ||
-        combined.rejoins > 0) {
-      cache.invalidate();
-    } else if (cache.valid) {
-      cache.rebuild_alias(state_);
-    }
     stage2_span.stop();
   }
   commit_span.stop();

@@ -183,7 +183,6 @@ over::Overlay::Sampler NowSystem::overlay_sampler(std::uint64_t* rounds_max) {
 Cost NowSystem::exchange_all(ClusterId c,
                              std::vector<ClusterId>* partners_out) {
   OpScope scope(metrics_, "exchange");
-  invalidate_plan_cache();  // sequential mutation outside the batch path
   std::uint64_t rounds_max = 0;
 
   // Deep copy: the exchange below mutates membership (and may relocate
@@ -222,26 +221,15 @@ Cost NowSystem::exchange_all(ClusterId c,
           to.size(), to.size(), params_.rand_num_mode, metrics_, rng_);
       chain_rounds += draw.cost.rounds;
       const NodeId y = to.member_at(draw.value);
-      // Swap x <-> y; both sides hand over membership + overlay knowledge.
-      // A swap changes no size, so no population moves either.
+      // Swap x <-> y; both sides hand over membership + overlay knowledge,
+      // announce the composition delta to their neighborhoods, and the
+      // newcomers learn the local overlay structure (one round each). A
+      // swap changes no size, so no population moves either.
       state_.swap_members(x, c, y, partner);
-      const std::uint64_t handoff_units =
-          static_cast<std::uint64_t>(from.size()) +
-          static_cast<std::uint64_t>(to.size());
-      metrics_.add_messages(2 * handoff_units);
-      // Composition deltas to both neighborhoods (x <-> y swapped).
-      charge_neighborhood_broadcast(state_, c, 2, metrics_);
-      charge_neighborhood_broadcast(state_, partner, 2, metrics_);
-      chain_rounds += 1;
-      // Newcomers learn the local overlay structure from their new cluster.
-      const std::uint64_t c_info =
-          static_cast<std::uint64_t>(from.size()) +
-          state_.neighborhood_population(c);
-      const std::uint64_t p_info =
-          static_cast<std::uint64_t>(to.size()) +
-          state_.neighborhood_population(partner);
-      metrics_.add_messages(c_info * from.size() + p_info * to.size());
-      chain_rounds += 1;
+      metrics_.add_messages(cluster::exchange_swap_units(
+          from.size(), state_.neighborhood_population(c), to.size(),
+          state_.neighborhood_population(partner)));
+      chain_rounds += 2;
     }
     rounds_max = std::max(rounds_max, chain_rounds);
   }
@@ -261,17 +249,12 @@ std::uint64_t NowSystem::place_node(NodeId node, OpReport& report) {
   const ClusterId target = walk.cluster;
 
   state_.add_member(target, node);
-  const auto& dest = state_.cluster_at(target);
 
-  // Members of C' announce x to the neighboring clusters (1 unit delta).
-  charge_neighborhood_broadcast(state_, target, 1, metrics_);
-  // ... and send x its new neighborhood back along the walk's path.
-  const std::uint64_t info_units =
-      static_cast<std::uint64_t>(dest.size()) +
-      state_.neighborhood_population(target);
-  metrics_.add_messages(info_units *
-                        (static_cast<std::uint64_t>(dest.size()) +
-                         static_cast<std::uint64_t>(walk.hops)));
+  // Members of C' announce x to the neighboring clusters and send x its
+  // new neighborhood back along the walk's path.
+  metrics_.add_messages(cluster::join_placement_units(
+      state_.cluster_at(target).size(), state_.neighborhood_population(target),
+      walk.hops));
   rounds += 2;
 
   // Shuffle: the receiving cluster exchanges all of its nodes.
@@ -291,7 +274,6 @@ std::uint64_t NowSystem::place_node(NodeId node, OpReport& report) {
 std::pair<NodeId, OpReport> NowSystem::join(bool byzantine_node) {
   assert(initialized_);
   OpScope scope(metrics_, "join");
-  invalidate_plan_cache();  // mutates outside the batch commit
   OpReport report;
 
   const NodeId node = state_.fresh_node_id();
@@ -309,7 +291,6 @@ OpReport NowSystem::leave(NodeId node) {
   assert(initialized_);
   if (trace_sink_ != nullptr) trace_sink_->on_leave(node);
   OpScope scope(metrics_, "leave");
-  invalidate_plan_cache();  // mutates outside the batch commit
   OpReport report;
 
   const ClusterId c = state_.home_of(node);

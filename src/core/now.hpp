@@ -100,7 +100,6 @@ struct OpReport {
   // The *_ns fields below are measured by the obs span layer
   // (obs/obs.hpp): each batch phase opens a ScopedSpan that writes its
   // duration here and, when recording is enabled, into the trace ring.
-  // With NOW_OBS=OFF they read 0 (telemetry product, not protocol state).
   /// Batches only: wall-clock nanoseconds of the commit phase
   /// (resolve + stage-1 parallel apply + stage-2 merge and restructuring)
   /// — the quantity BENCH_micro.json tracks as commit_ns.
@@ -117,14 +116,14 @@ struct OpReport {
   /// member-edit apply.
   std::uint64_t stage1_ns = 0;
   /// Batches only: wall-clock nanoseconds of stage 2 (spill
-  /// re-homing, Fenwick delta merge, deferred splits/merges, compaction
-  /// check and cache maintenance).
+  /// re-homing, Fenwick delta merge, deferred splits/merges and the
+  /// compaction check).
   std::uint64_t stage2_ns = 0;
 };
 
-/// Opaque per-system batch-engine state (src/core/batch.cpp): the persistent
-/// incremental PlanCache, the per-cluster wave caches the wave scheduler
-/// reuses across time steps, and the commit engine's scratch buffers.
+/// Opaque per-system batch-engine state (src/core/batch.cpp): the PlanCache,
+/// the per-cluster wave buffers the wave scheduler reuses across time
+/// steps, and the commit engine's scratch buffers.
 struct BatchScratch;
 
 class SnapshotReader;
@@ -190,10 +189,10 @@ class NowSystem {
   /// wave per cluster per time step (the paper's semantics — a cluster
   /// shuffles all of its nodes once), each wave on its own derived stream;
   /// waves induced by a leave additionally schedule one deduplicated
-  /// secondary wave per partner cluster. Planning reads the persistent
-  /// PlanCache (core/plan_cache.hpp), maintained incrementally across
-  /// batches. Commit resolves every planned move sequentially in canonical
-  /// order at the nodes' current homes. Stage 1 then applies the
+  /// secondary wave per partner cluster. Planning reads the PlanCache
+  /// (core/plan_cache.hpp), built at every batch start. Commit resolves
+  /// every planned move sequentially in canonical order at the nodes'
+  /// current homes. Stage 1 then applies the
   /// per-cluster member edits shard-parallel against contiguous slot
   /// blocks, and stage 2 merges the per-shard size deltas into the Fenwick
   /// mirror and runs the deferred splits/merges sequentially.
@@ -232,13 +231,6 @@ class NowSystem {
   [[nodiscard]] Metrics& metrics() { return metrics_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
-  /// Drops the persistent PlanCache; the next batch rebuilds it from
-  /// scratch. The cache is maintained incrementally and invalidated
-  /// automatically on every structural change (split/merge, sequential
-  /// join()/leave()), so this hook exists for tests and benches
-  /// that want to time or compare the full-rebuild path.
-  void invalidate_plan_cache();
-
   // ------------------------------------------- snapshots & traces (§8)
 
   /// Attaches (or detaches, with nullptr) a scenario-event observer. The
@@ -250,10 +242,6 @@ class NowSystem {
   /// Feeds the bytes_per_node scalar BENCH_micro.json records for the
   /// huge-batch tier.
   [[nodiscard]] std::size_t footprint_bytes() const;
-
-  /// Verifies the persistent PlanCache against the live state (column
-  /// order, alias mass per cluster). For the nightly large-n stress; O(k).
-  [[nodiscard]] bool plan_cache_consistent() const;
 
  private:
   /// Places an existing node into the partition via Algorithm 1 (used by
@@ -289,9 +277,9 @@ class NowSystem {
   std::unique_ptr<ThreadPool> pool_;
 
   // Batch-engine state persisting across time steps (see batch.cpp): the
-  // incrementally maintained PlanCache, the per-cluster wave caches
-  // (each cluster's swap/partner buffers, reused by the wave scheduler
-  // across steps) and the per-slot / per-shard edit scratch.
+  // PlanCache, the per-cluster wave buffers (each cluster's swap/partner
+  // buffers, reused by the wave scheduler across steps) and the per-slot /
+  // per-shard edit scratch.
   std::unique_ptr<BatchScratch> batch_;
 };
 

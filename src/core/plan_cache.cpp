@@ -3,23 +3,15 @@
 namespace now::core {
 
 void PlanCache::build(const NowState& state, const NowParams& params) {
+  if (params.walk_mode == WalkMode::kSampleExact) {
+    walk = rand_cl_cost_model(state, params);
+  }
   column_slot.clear();
   column_slot.reserve(state.num_clusters());
   for (const ClusterId c : state.cluster_ids()) {
     column_slot.push_back(static_cast<std::uint32_t>(state.slot_index(c)));
   }
-  rebuild_alias(state);
-  refresh(state, params);
-  valid = true;
-}
 
-void PlanCache::refresh(const NowState& state, const NowParams& params) {
-  if (params.walk_mode == WalkMode::kSampleExact) {
-    walk = rand_cl_cost_model(state, params);
-  }
-}
-
-void PlanCache::rebuild_alias(const NowState& state) {
   const std::size_t k = column_slot.size();
   const cluster::MemberSlab& slab = state.member_slab();
 
@@ -60,34 +52,6 @@ std::uint32_t PlanCache::draw_biased(Rng& rng) const {
   const std::uint64_t toss = rng.uniform(total_weight);
   return toss < alias_threshold[column] ? column_slot[column]
                                         : alias_slot[column];
-}
-
-bool PlanCache::consistent_with(const NowState& state) const {
-  if (!valid) return false;
-  const std::span<const ClusterId> ids = state.cluster_ids();
-  const std::size_t k = ids.size();
-  if (column_slot.size() != k || alias_threshold.size() != k ||
-      alias_slot.size() != k || total_weight != state.num_nodes()) {
-    return false;
-  }
-  // Every column carries total_weight units: its threshold to its own
-  // slot, the rest to its alias. Summed per slot, that must be |C| * k.
-  std::vector<std::uint64_t> mass(state.slot_count(), 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t slot = state.slot_index(ids[i]);
-    if (column_slot[i] != slot || alias_slot[i] >= mass.size() ||
-        alias_threshold[i] > total_weight) {
-      return false;
-    }
-    mass[slot] += alias_threshold[i];
-    mass[alias_slot[i]] += total_weight - alias_threshold[i];
-  }
-  for (const ClusterId c : ids) {
-    if (mass[state.slot_index(c)] != state.cluster_at(c).size() * k) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace now::core

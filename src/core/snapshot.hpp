@@ -12,9 +12,8 @@
 // iteration), the overlay adjacency in its dense vertex order
 // (random_vertex indexes it), the system RNG's raw 256-bit state and the
 // batch/step counters. The batch engine's PlanCache is a pure function of
-// the state (core/plan_cache.hpp), so nothing of it is written: a restored
-// system starts with an invalid cache and its next batch builds one that
-// draws identically to the saver's incrementally maintained cache.
+// the state, built at every batch start (core/plan_cache.hpp), so nothing
+// of it is written.
 //
 // Restore-then-continue is bit-identical to the uninterrupted run for
 // every shard count (tests/core/snapshot_test.cpp).

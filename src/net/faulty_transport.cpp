@@ -51,7 +51,6 @@ void FaultyTransport::send(Message msg) {
 }
 
 void FaultyTransport::record(FaultEvent event) {
-#if NOW_OBS_ENABLED
   // Per-kind names, indexed by FaultEvent::Kind. Interned once.
   struct FaultObs {
     std::array<obs::MetricId, 5> counters;
@@ -76,7 +75,6 @@ void FaultyTransport::record(FaultEvent event) {
                (static_cast<std::uint64_t>(event.round) << 32) |
                    (event.until_round & 0xFFFFFFFFULL),
                (event.from.value() << 32) | (event.to.value() & 0xFFFFFFFFULL));
-#endif
   events_.push_back(event);
 }
 

@@ -11,7 +11,6 @@
 
 namespace now::net {
 
-#if NOW_OBS_ENABLED
 namespace {
 
 /// Per-tag send/receive counters, interned once per process. Indexed by
@@ -37,7 +36,6 @@ const TagCounters& tag_counters() {
 }
 
 }  // namespace
-#endif  // NOW_OBS_ENABLED
 
 void Outbox::send(NodeId to, Tag tag, Payload payload) {
   messages_.push_back(Message{self_, to, tag, std::move(payload)});
@@ -72,9 +70,7 @@ bool RoundEngine::remove_actor(NodeId id) {
 void RoundEngine::run_round() {
   obs::ScopedSpan round_span(obs::Cat::kNet, "net.round", nullptr, round_,
                              slots_.size());
-#if NOW_OBS_ENABLED
   const bool count_tags = obs::Registry::enabled();
-#endif
   // No rushing: every inbox polled this round was sealed by the previous
   // round's barrier; messages sent below become deliverable only after
   // this round's end_round.
@@ -82,26 +78,22 @@ void RoundEngine::run_round() {
   std::swap(out.messages_, outbox_buf_);  // recycle the buffer
   for (Slot& slot : slots_) {
     transport_.poll(slot.id, slot.inbox);
-#if NOW_OBS_ENABLED
     if (count_tags) {
       for (const Message& msg : slot.inbox) {
         obs::counter_add(
             tag_counters().recv[static_cast<std::size_t>(msg.tag)]);
       }
     }
-#endif
     out.self_ = slot.id;
     slot.actor->on_round(round_, slot.inbox, out);
     for (Message& msg : out.messages_) {
       // Charged before the transport may drop it: sends to departed nodes
       // still cost the sender (reconfigurable channels).
       metrics_.add_messages(msg.cost_units());
-#if NOW_OBS_ENABLED
       if (count_tags) {
         obs::counter_add(
             tag_counters().send[static_cast<std::size_t>(msg.tag)]);
       }
-#endif
       transport_.send(std::move(msg));
     }
     out.messages_.clear();

@@ -1,22 +1,14 @@
 // Umbrella header for the runtime telemetry layer (DESIGN.md §13).
 //
-// NOW_OBS_ENABLED is the compile-time kill switch (CMake option NOW_OBS,
-// default ON). When it is 0 every inline hook in this header — ScopedSpan,
-// counter_add, observe, instant — compiles to nothing, so protocol code
-// carries zero telemetry cost. The Registry / SpanRecorder classes
-// themselves always compile (tools and tests link them either way).
+// The hooks are always compiled in; with recording off (the default) each
+// one costs a relaxed flag load, and perfbench measures that overhead at
+// run time (obs.overhead_pct).
 //
 // ScopedSpan doubles as the single timing source for OpReport's phase
 // nanosecond fields: pass `out_ns` and the measured duration is written
 // there on stop() even when span recording is disabled, so
 // BENCH_micro.json rows stay byte-compatible with the pre-obs plumbing.
-// With NOW_OBS=OFF those fields read 0 (the bench counters are a
-// telemetry product, not protocol state).
 #pragma once
-
-#ifndef NOW_OBS_ENABLED
-#define NOW_OBS_ENABLED 1
-#endif
 
 #include <cstdint>
 #include <string>
@@ -26,8 +18,6 @@
 #include "obs/span.hpp"
 
 namespace now::obs {
-
-inline constexpr bool kCompiledIn = NOW_OBS_ENABLED != 0;
 
 /// Switches the whole subsystem (registry + span recorder) on or off at
 /// runtime. Off (the default) leaves one relaxed flag load per hook.
@@ -39,8 +29,6 @@ void set_enabled(bool enabled);
 /// tools/now_obs merges several of these onto one timeline.
 /// Returns false (after best-effort write) on I/O failure.
 bool write_obs_file(const std::string& path, std::string_view label);
-
-#if NOW_OBS_ENABLED
 
 /// RAII phase span: starts on construction, records on stop()/destruction.
 /// The steady clock is read only when recording is enabled or `out_ns`
@@ -111,26 +99,5 @@ inline void instant(Cat cat, std::uint32_t name, std::uint64_t arg0 = 0,
                     std::uint64_t arg1 = 0) {
   SpanRecorder::instance().instant(cat, name, arg0, arg1);
 }
-
-#else  // NOW_OBS_ENABLED == 0: every hook is a no-op the optimizer erases.
-
-class ScopedSpan {
- public:
-  ScopedSpan(Cat, std::string_view, std::uint64_t* = nullptr,
-             std::uint64_t = 0, std::uint64_t = 0) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  void stop() {}
-  void set_args(std::uint64_t, std::uint64_t) {}
-};
-
-inline MetricId counter_id(std::string_view) { return kNoMetric; }
-inline std::uint32_t span_name_id(std::string_view) { return 0; }
-inline void counter_add(MetricId, std::uint64_t = 1) {}
-inline void observe(MetricId, std::uint64_t) {}
-inline void instant(Cat, std::uint32_t, std::uint64_t = 0,
-                    std::uint64_t = 0) {}
-
-#endif  // NOW_OBS_ENABLED
 
 }  // namespace now::obs

@@ -10,9 +10,7 @@
 // Determinism contract: the registry observes, it never feeds state. No
 // protocol code may branch on a registry value, and the registry draws no
 // randomness — run digests, RNG streams, snapshots and bench fidelity are
-// bit-identical with telemetry enabled, disabled, or compiled out
-// (NOW_OBS=OFF reduces every hook in protocol code to a no-op; the
-// registry class itself stays available for tools and tests).
+// bit-identical with telemetry enabled or disabled.
 //
 // Recording is off by default; obs::set_enabled (obs/obs.hpp) switches the
 // whole subsystem on. Disabled add/observe calls drop their value after

@@ -58,8 +58,10 @@ namespace now::sim {
 //   trace v3 — embedded snapshots are snapshot v3 (no PlanCache blob);
 //   trace v4 — no footer index (checkpoints are found by walking the
 //              frames) and no per-batch shard word (the header's counts).
+// Scenario checkpoints also embed the adversary's save_state words:
+//   checkpoint v4 — the thrash adversary saves its phase flag only.
 inline constexpr std::uint32_t kTraceFormatVersion = 4;
-inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /// Records a scenario into an in-memory trace; run_scenario drives it
 /// (attach as the system's TraceSink, call begin_step/record_sample/

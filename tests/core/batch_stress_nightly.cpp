@@ -1,13 +1,12 @@
-// Nightly large-n stress of the plan-phase machinery (DESIGN.md §11): a
-// million-node deployment churned through structure-preserving batches,
-// verifying after every batch that the incrementally maintained PlanCache
-// (column order, alias mass over the cluster sizes) still matches a
-// from-scratch rebuild, and that the epoch-stamped batch scratch keeps the
-// state invariants (the kept neighborhood populations included) intact at
-// a scale the tier-1 suite never reaches.
+// Nightly large-n stress of the batch engine (DESIGN.md §11): a
+// million-node deployment churned through mostly structure-preserving
+// batches, verifying that the epoch-stamped batch scratch keeps the state
+// invariants (the kept neighborhood populations included) intact at a
+// scale the tier-1 suite never reaches, and that the footprint stays
+// linear in n.
 //
 // NOT part of the ctest tier-1 suite: the `_nightly.cpp` suffix escapes the
-// `tests/**/*_test.cpp` glob; CMake builds it as `plan_cache_stress_nightly`
+// `tests/**/*_test.cpp` glob; CMake builds it as `batch_stress_nightly`
 // (so it cannot rot) and .github/workflows/nightly.yml executes it.
 #include <gtest/gtest.h>
 
@@ -18,7 +17,7 @@
 namespace now::core {
 namespace {
 
-TEST(PlanCacheStressNightly, MillionNodeChurnKeepsCacheConsistent) {
+TEST(BatchStressNightly, MillionNodeChurnKeepsInvariants) {
   NowParams params;
   params.max_size = 1 << 14;
   params.walk_mode = WalkMode::kSampleExact;
@@ -31,10 +30,8 @@ TEST(PlanCacheStressNightly, MillionNodeChurnKeepsCacheConsistent) {
   ASSERT_TRUE(system.check().ok);
 
   // Size-neutral churn keeps the batches structure-preserving most of the
-  // time, so stage 2 folds thousands of per-slot deltas into the
-  // populations and the carried cache rebuilds only its alias table
-  // between full rebuilds — the exact path the maintenance must keep
-  // exact.
+  // time, so stage 2 folds thousands of per-slot deltas into the sizes and
+  // populations, and the next batch plans over them.
   Rng victim_rng{4242};
   constexpr std::size_t kBatches = 12;
   constexpr std::size_t kOps = 5000;
@@ -44,8 +41,6 @@ TEST(PlanCacheStressNightly, MillionNodeChurnKeepsCacheConsistent) {
     const auto [joined, report] =
         system.step_parallel_mixed(kOps, kOps / 50, leaves, 8);
     ASSERT_EQ(joined.size(), kOps);
-    ASSERT_TRUE(system.plan_cache_consistent())
-        << "batch " << b << ": incremental PlanCache drifted from rebuild";
     EXPECT_GT(report.wave_count, 0u);
   }
   const InvariantReport report = system.check();

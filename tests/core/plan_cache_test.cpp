@@ -1,13 +1,14 @@
-// Tests for the persistent, incrementally maintained PlanCache
-// (core/plan_cache.hpp): exact |C|/n sampling per slot through the alias
-// sampler, equality of an incrementally maintained cache with a fresh
-// build, and the NowState-kept neighborhood populations the planners read.
+// Tests for the PlanCache the batch engine builds at every batch start
+// (core/plan_cache.hpp): the exact alias mass per slot, |C|/n sampling
+// per slot through the alias sampler, and the NowState-kept neighborhood
+// populations the planners read.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -85,45 +86,46 @@ void expect_size_biased_law(const PlanCache& cache, const NowState& state,
   EXPECT_EQ(live_hits, draws);
 }
 
-TEST(PlanCacheTest, FreshBuildIsConsistentAndSamplesExactly) {
-  Fixture fx{{40, 10, 25, 60, 5, 33, 27}};
-  PlanCache cache;
-  cache.build(fx.state, cache_params());
-  EXPECT_TRUE(cache.consistent_with(fx.state));
-  EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
-  expect_size_biased_law(cache, fx.state, 11, 200000);
+/// The exact construction: one column per live cluster in cluster_ids()
+/// order, and every column carries total_weight units (its threshold to its
+/// own slot, the rest to its alias), so summed per slot they must come to
+/// exactly |C| * k.
+void expect_exact_alias_mass(const PlanCache& cache, const NowState& state) {
+  const std::span<const ClusterId> ids = state.cluster_ids();
+  const std::size_t k = ids.size();
+  ASSERT_EQ(cache.column_slot.size(), k);
+  ASSERT_EQ(cache.alias_threshold.size(), k);
+  ASSERT_EQ(cache.alias_slot.size(), k);
+  EXPECT_EQ(cache.total_weight, state.num_nodes());
+  std::vector<std::uint64_t> mass(state.slot_count(), 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t slot = state.slot_index(ids[i]);
+    EXPECT_EQ(cache.column_slot[i], slot) << "column " << i;
+    ASSERT_LT(cache.alias_slot[i], mass.size()) << "column " << i;
+    ASSERT_LE(cache.alias_threshold[i], cache.total_weight) << "column " << i;
+    mass[slot] += cache.alias_threshold[i];
+    mass[cache.alias_slot[i]] += cache.total_weight - cache.alias_threshold[i];
+  }
+  for (const ClusterId c : ids) {
+    EXPECT_EQ(mass[state.slot_index(c)], state.cluster_at(c).size() * k)
+        << "cluster " << c.value();
+  }
 }
 
-TEST(PlanCacheTest, IncrementalDeltasKeepCacheExact) {
-  Fixture fx{{30, 30, 30, 30, 30, 30}};
-  PlanCache cache;
-  cache.build(fx.state, cache_params());
-
-  // Grow cluster 0 by 12, shrink cluster 3 by 9 — rebuild the alias
-  // table as a structure-preserving commit does, then verify against a
-  // fresh rebuild via the exhaustive consistency check (column order,
-  // alias mass per cluster).
-  fx.grow(fx.ids[0], 12);
-  fx.shrink(fx.ids[3], 9);
-  cache.rebuild_alias(fx.state);
-  EXPECT_TRUE(cache.consistent_with(fx.state));
-  EXPECT_EQ(cache.total_weight, fx.state.num_nodes());
-
-  // The cache keeps no history: its sampler is the one a fresh build over
-  // the current sizes makes, so both draw the same sequence, and that
-  // sequence realizes the *current* law exactly.
-  PlanCache fresh;
-  fresh.build(fx.state, cache_params());
-  EXPECT_EQ(cache.column_slot, fresh.column_slot);
-  EXPECT_EQ(cache.alias_threshold, fresh.alias_threshold);
-  EXPECT_EQ(cache.alias_slot, fresh.alias_slot);
-  EXPECT_EQ(cache.total_weight, fresh.total_weight);
-  Rng a{13};
-  Rng b{13};
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(cache.draw_biased(a), fresh.draw_biased(b)) << "draw " << i;
+TEST(PlanCacheTest, BuildHasExactAliasMassAndSamplesExactly) {
+  // Uneven sizes, then an even partition after one cluster grew and
+  // another shrank (the sizes a batch's stage 2 leaves behind).
+  Fixture uneven{{40, 10, 25, 60, 5, 33, 27}};
+  Fixture changed{{30, 30, 30, 30, 30, 30}};
+  changed.grow(changed.ids[0], 12);
+  changed.shrink(changed.ids[3], 9);
+  std::uint64_t seed = 11;
+  for (const Fixture* fx : {&uneven, &changed}) {
+    PlanCache cache;
+    cache.build(fx->state, cache_params());
+    expect_exact_alias_mass(cache, fx->state);
+    expect_size_biased_law(cache, fx->state, seed++, 200000);
   }
-  expect_size_biased_law(cache, fx.state, 13, 200000);
 }
 
 TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
@@ -151,7 +153,7 @@ TEST(PlanCacheTest, NeighborhoodsTrackNeighborSizeChanges) {
   }
   PlanCache cache;
   cache.build(fx.state, cache_params());
-  EXPECT_TRUE(cache.consistent_with(fx.state));
+  expect_exact_alias_mass(cache, fx.state);
 }
 
 }  // namespace

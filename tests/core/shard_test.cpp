@@ -364,72 +364,78 @@ TEST(ShardTest, DenseBatchReplaysAreShardCountIndependent) {
   EXPECT_TRUE(systems[0]->check().ok);
 }
 
-/// Same seed, same batches: one system keeps its PlanCache across batches
-/// (incremental maintenance), the other is forced to rebuild from scratch
-/// before every step. Every message charge the planners make flows
-/// through the walk cost model and the kept neighborhood populations, and
-/// every partner pick draws from the alias table, so any maintenance
-/// drift — a missed size delta, a sampler that differs from a fresh build
-/// — shows up as diverging messages or partitions here.
-void expect_incremental_matches_rebuild(const NowParams& params,
-                                        std::uint64_t seed,
-                                        std::uint64_t victim_seed,
-                                        std::size_t n0, std::size_t byz0,
-                                        std::size_t ops, int rounds) {
-  Metrics metrics_inc;
-  Metrics metrics_rebuild;
-  NowSystem incremental{params, metrics_inc, seed};
-  NowSystem rebuild{params, metrics_rebuild, seed};
-  incremental.initialize(n0, byz0, InitTopology::kModeledSparse);
-  rebuild.initialize(n0, byz0, InitTopology::kModeledSparse);
-  Rng victims_a{victim_seed};
-  Rng victims_b{victim_seed};
+TEST(ShardTest, BatchesAfterSequentialOpsMatchARestoredTwin) {
+  // System a mixes sequential join()/leave() with batches; its twin c is
+  // restored from a snapshot taken right after a's sequential ops, so it
+  // starts with no batch-engine state at all. At this scale (~600
+  // clusters) a sequential op changes cluster sizes without restructuring,
+  // so every batch after one must plan over the sizes the op left: any
+  // batch-engine state that outlived the ops shows up as diverging
+  // messages, partitions or homes.
+  NowParams p;  // default k -> ~33-member clusters, ~600 of them
+  p.max_size = 1 << 15;
+  p.walk_mode = WalkMode::kSampleExact;
+  Metrics metrics_a;
+  NowSystem a{p, metrics_a, 107};
+  a.initialize(20000, 1500, InitTopology::kModeledSparse);
+  Rng victims_a{107 ^ 5};
+  // Three joins and three leaves; returns the messages they charged.
+  const auto sequential_ops = [](NowSystem& system, Rng& victims) {
+    const std::uint64_t before = system.metrics().total().messages;
+    for (int i = 0; i < 3; ++i) {
+      (void)system.join(i == 0);
+      (void)system.leave(
+          system.state().sample_distinct_nodes(victims, 1).front());
+    }
+    return system.metrics().total().messages - before;
+  };
+  for (int t = 0; t < 2; ++t) {
+    a.step_parallel_mixed(4, 1, pick_victims(a, 4, victims_a), 4);
+  }
+  sequential_ops(a, victims_a);
 
-  for (int round = 0; round < rounds; ++round) {
-    const auto leaves_a = pick_victims(incremental, ops, victims_a);
-    const auto leaves_b = pick_victims(rebuild, ops, victims_b);
-    ASSERT_EQ(leaves_a, leaves_b);
-    rebuild.invalidate_plan_cache();
-    const auto [ja, ra] =
-        incremental.step_parallel_mixed(ops, 1, leaves_a, 4);
-    const auto [jb, rb] = rebuild.step_parallel_mixed(ops, 1, leaves_b, 4);
-    ASSERT_EQ(ja, jb) << "round " << round;
-    EXPECT_EQ(ra.cost.messages, rb.cost.messages) << "round " << round;
-    EXPECT_EQ(ra.cost.rounds, rb.cost.rounds);
-    EXPECT_EQ(ra.wave_count, rb.wave_count);
-    EXPECT_EQ(ra.conflicts, rb.conflicts);
+  SnapshotWriter saved;
+  save_system(a, saved);
+  Metrics metrics_c;
+  NowSystem c{p, metrics_c, 107};
+  SnapshotReader reader{saved.buffer()};
+  load_system(c, reader);
+  Rng victims_c{0};
+  victims_c.restore_state(victims_a.state());
+
+  for (int round = 0; round < 3; ++round) {
+    for (int t = 0; t < 2; ++t) {
+      const auto leaves_a = pick_victims(a, 4, victims_a);
+      const auto leaves_c = pick_victims(c, 4, victims_c);
+      ASSERT_EQ(leaves_a, leaves_c) << "round " << round;
+      const auto [ja, ra] = a.step_parallel_mixed(4, 1, leaves_a, 4);
+      const auto [jc, rc] = c.step_parallel_mixed(4, 1, leaves_c, 4);
+      ASSERT_EQ(ja, jc) << "round " << round;
+      EXPECT_EQ(ra.cost.messages, rc.cost.messages) << "round " << round;
+      EXPECT_EQ(ra.cost.rounds, rc.cost.rounds);
+      EXPECT_EQ(ra.wave_count, rc.wave_count);
+      EXPECT_EQ(ra.conflicts, rc.conflicts);
+    }
+    EXPECT_EQ(sequential_ops(a, victims_a), sequential_ops(c, victims_c))
+        << "round " << round;
   }
-  EXPECT_EQ(partition_signature(incremental), partition_signature(rebuild));
-  for (const NodeId node : incremental.state().live_nodes()) {
-    ASSERT_EQ(incremental.state().home_of(node),
-              rebuild.state().home_of(node));
+  EXPECT_EQ(partition_signature(a), partition_signature(c));
+  for (const NodeId node : a.state().live_nodes()) {
+    ASSERT_EQ(a.state().home_of(node), c.state().home_of(node));
   }
-  EXPECT_TRUE(incremental.check().ok);
-  EXPECT_TRUE(rebuild.check().ok);
+  EXPECT_EQ(a.rng().state(), c.rng().state());
+  EXPECT_TRUE(a.check().ok);
+  EXPECT_TRUE(c.check().ok);
 }
 
-TEST(ShardTest, IncrementalPlanCacheMatchesFullRebuild) {
-  // Small k: most batches restructure, so the incremental cache rarely
-  // survives more than one batch.
-  expect_incremental_matches_rebuild(shard_params(), 91, 17, 900, 90, 7, 5);
-  // Large k (default k -> ~33-member clusters, ~600 of them, 4+4 ops per
-  // batch): batches rarely restructure, so the live cache is carried
-  // across many batches by apply_size_deltas and must keep drawing
-  // exactly like a fresh build.
-  NowParams large;
-  large.max_size = 1 << 15;
-  large.walk_mode = WalkMode::kSampleExact;
-  expect_incremental_matches_rebuild(large, 101, 101 ^ 5, 20000, 1500, 4,
-                                     6);
-}
-
-TEST(ShardTest, LargeKIncrementalBatchesStayShardCountIndependent) {
-  // At this scale a batch rarely restructures, so the PlanCache is carried
-  // across batches by apply_size_deltas, which receives the size deltas
-  // in the shard count's slot-block concatenation order. Every consumer of
-  // those deltas is order-independent, so shards 1 and 4 must agree on
-  // every node home after every batch. (The small deployments of the
-  // tests above restructure nearly every batch and rebuild the cache.)
+TEST(ShardTest, LargeKBatchesStayShardCountIndependent) {
+  // At this scale a batch rarely restructures, so each batch plans over
+  // sizes that the previous batch's stage 2 committed through
+  // apply_size_deltas, which receives the size deltas in the shard count's
+  // slot-block concatenation order. Every consumer of those deltas is
+  // order-independent, so shards 1 and 4 must agree on every node home
+  // after every batch. (The small deployments of the tests above
+  // restructure nearly every batch.)
   NowParams p;  // default k -> ~33-member clusters, ~600 of them
   p.max_size = 1 << 15;
   p.walk_mode = WalkMode::kSampleExact;

@@ -202,14 +202,12 @@ TEST(SnapshotTest, LegacySequentialOpsContinueIdenticallyToo) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, LargeKRestoreRebuildsTheCacheTheSaverCarried) {
-  // At small scales nearly every batch restructures, so the saver's
-  // PlanCache was freshly built anyway. At this scale (~600 clusters, 4+4
-  // ops/batch) the saver carries its cache across batches incrementally,
-  // while the restored system starts with none and builds it from scratch
-  // on its first batch. Snapshots persist no cache state, so the two
-  // caches must draw identically: restore-then-continue stays
-  // bit-identical.
+TEST(SnapshotTest, LargeKRestoreThenBatchesStaysBitIdentical) {
+  // At small scales nearly every batch restructures. At this scale (~600
+  // clusters, 4+4 ops/batch) batches rarely do, so the saver runs many
+  // batches in a row over sizes only stage 2 changed, while the restored
+  // system starts with no batch-engine state. Snapshots persist none of
+  // it, so restore-then-continue must stay bit-identical.
   NowParams p;  // default k -> ~33-member clusters, ~600 of them
   p.max_size = 1 << 15;
   p.walk_mode = WalkMode::kSampleExact;

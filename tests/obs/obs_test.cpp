@@ -2,8 +2,7 @@
 // across thread counts, log2 histogram bucket boundaries, span ring
 // wraparound, trace-export JSON validity from a forked two-process socket
 // run, and the determinism contract — run digests are bit-identical with
-// telemetry enabled, disabled, or compiled out (NOW_OBS=OFF builds this
-// same file and the pinned digest must not move).
+// telemetry enabled or disabled, and equal a pinned constant.
 #include "obs/obs.hpp"
 
 #include <sys/wait.h>
@@ -238,14 +237,10 @@ TEST(SpanRecorderTest, ScopedSpanWritesOutNsEvenWhenRecordingDisabled) {
   {
     ScopedSpan span(Cat::kStep, "test.span.disabled", &measured);
   }
-  if (kCompiledIn) {
-    // Recording is off but the caller asked for the duration: the span
-    // still reads the clock (this keeps OpReport's *_ns fields filled).
-    EXPECT_NE(measured, ~0ull);
-    EXPECT_EQ(SpanRecorder::instance().snapshot().size(), 0u);
-  } else {
-    EXPECT_EQ(measured, ~0ull);  // NOW_OBS=OFF: hooks are no-ops
-  }
+  // Recording is off but the caller asked for the duration: the span
+  // still reads the clock (this keeps OpReport's *_ns fields filled).
+  EXPECT_NE(measured, ~0ull);
+  EXPECT_EQ(SpanRecorder::instance().snapshot().size(), 0u);
 }
 
 // --------------------------------------------------------- trace export
@@ -269,8 +264,6 @@ pid_t spawn_obs_worker(const sim::ShardSpec& spec, std::size_t shard,
 }
 
 TEST(TraceExportTest, ForkedTwoProcessRunWritesValidTraceEventJson) {
-  if (!kCompiledIn) GTEST_SKIP() << "NOW_OBS=OFF: no spans to export";
-
   sim::ShardSpec spec;
   spec.num_shards = 2;
   spec.steps = 4;
@@ -360,11 +353,10 @@ TEST(TraceExportTest, ForkedTwoProcessRunWritesValidTraceEventJson) {
 // ---------------------------------------------------------- determinism
 
 /// The whole point of the telemetry layer's determinism contract: the run
-/// digest is bit-identical with telemetry on, off, or compiled out. The
-/// pinned constant is shared by the NOW_OBS=ON and NOW_OBS=OFF builds of
-/// this test, so a telemetry hook that perturbs protocol state fails the
-/// build matrix, not just an equality check within one configuration.
-TEST(ObsDeterminismTest, RunDigestIdenticalWithTelemetryOnOffCompiledOut) {
+/// digest is bit-identical with telemetry on and off, and equals a pinned
+/// constant, so a telemetry hook that perturbs protocol state fails even
+/// when it perturbs both runs alike.
+TEST(ObsDeterminismTest, RunDigestIdenticalWithTelemetryOnAndOff) {
   sim::ShardSpec spec;
   spec.num_shards = 3;
   spec.steps = 6;
@@ -379,20 +371,18 @@ TEST(ObsDeterminismTest, RunDigestIdenticalWithTelemetryOnOffCompiledOut) {
   {
     ObsEnabledScope obs;
     on = sim::run_single_process(spec);
-    if (kCompiledIn) {
-      // Prove telemetry actually recorded something, so the digest
-      // equality below is not vacuous.
-      EXPECT_GT(Registry::instance().counter_value(
-                    Registry::instance().counter("net.send.shard_digest")),
-                0u);
-    }
+    // Prove telemetry actually recorded something, so the digest
+    // equality below is not vacuous.
+    EXPECT_GT(Registry::instance().counter_value(
+                  Registry::instance().counter("net.send.shard_digest")),
+              0u);
   }
 
   EXPECT_EQ(on.run_digest, off.run_digest);
   EXPECT_EQ(on.step_digests, off.step_digests);
   EXPECT_EQ(on.engine_rounds, off.engine_rounds);
 
-  // Pinned across build configurations (see the comment above).
+  // Pinned (see the comment above).
   EXPECT_EQ(off.run_digest, 0xe23a89742270e09full);
 }
 

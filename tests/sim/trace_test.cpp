@@ -415,6 +415,43 @@ TEST(TraceTest, CheckpointRejectsMismatchedScenario) {
   std::remove(ckpt.c_str());
 }
 
+TEST(TraceTest, PreviousCheckpointVersionFailsAtTheVersionCheck) {
+  // A v3 checkpoint still carried the thrash adversary's trigger counts:
+  // resuming from one must fail as an unsupported version, not misread
+  // the adversary words.
+  const std::string ckpt = temp_path("now_v3.ckpt");
+  ScenarioConfig halted = batched_config(67);
+  halted.checkpoint_path = ckpt;
+  halted.halt_at = 10;
+  Metrics metrics;
+  adversary::RandomChurnAdversary adversary{
+      halted.params.tau, adversary::ChurnSchedule::hold(halted.n0)};
+  (void)run_scenario(halted, adversary, metrics);
+
+  core::SnapshotReader current = core::SnapshotReader::read_file(
+      ckpt, "NOWCKPT1", kCheckpointFormatVersion, kCheckpointFormatVersion);
+  std::vector<std::uint8_t> payload(current.size());
+  current.bytes(payload.data(), payload.size());
+  core::SnapshotWriter restamped;
+  restamped.bytes(payload.data(), payload.size());
+  restamped.write_file(ckpt, "NOWCKPT1", 3);
+
+  ScenarioConfig resumed = batched_config(67);
+  resumed.resume_from = ckpt;
+  Metrics m2;
+  adversary::RandomChurnAdversary a2{
+      resumed.params.tau, adversary::ChurnSchedule::hold(resumed.n0)};
+  try {
+    (void)run_scenario(resumed, a2, m2);
+    ADD_FAILURE() << "a v3 checkpoint was resumed";
+  } catch (const core::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 3"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(ckpt.c_str());
+}
+
 TEST(CorpusTest, GenerationIsDeterministicInTheMasterSeed) {
   CorpusAxes axes;
   axes.master_seed = 99;

@@ -27,7 +27,7 @@
 //   on orderly exit (a crashed worker writes nothing; its respawn writes
 //   under the new pid). `now_obs merge DIR` folds the files into one
 //   Perfetto-loadable trace. Telemetry never feeds state: digests are
-//   bit-identical with or without --obs-dir (and with NOW_OBS=OFF).
+//   bit-identical with or without --obs-dir.
 #include <sys/wait.h>
 #include <unistd.h>
 
